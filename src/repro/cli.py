@@ -646,8 +646,10 @@ def _write_metrics(path: Optional[str]) -> None:
         text = to_prometheus(snapshot)
     else:
         text = to_json(snapshot)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    from repro.util.atomic import atomic_write
+
+    with atomic_write(path) as handle:
+        handle.write(text.encode("utf-8"))
     print(f"metrics written to {path}")
 
 
@@ -1041,10 +1043,9 @@ def _cmd_shard_replay(args) -> int:
 
 
 def _run_shard_replay_cmd(args) -> int:
-    import json as json_module
-
     from repro.sim.parallel import run_sharded_replay
     from repro.sim.serialize import stats_to_dict
+    from repro.util.atomic import atomic_write_json
 
     store, code = _segment_store_for(args)
     if code is not None:
@@ -1104,9 +1105,7 @@ def _run_shard_replay_cmd(args) -> int:
             "shards": args.shards,
             "stats": stats_to_dict(run.stats),
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(payload, handle, indent=2)
-            handle.write("\n")
+        atomic_write_json(args.json, payload)
         print(f"merged stats written to {args.json}")
     return 0 if run.ok else 1
 
@@ -1189,12 +1188,12 @@ def _cmd_serve_bench(args) -> int:
 
 def _run_serve_bench_cmd(args, collect_metrics: bool) -> int:
     import contextlib
-    import json as json_module
     import tempfile
     from pathlib import Path
 
     from repro.serve import BenchOptions, run_serve_bench, run_sieve_comparison
     from repro.traces.columnar import as_columnar
+    from repro.util.atomic import atomic_write_json
 
     fault_plan, code = _load_fault_plan(args)
     if code is not None:
@@ -1244,10 +1243,21 @@ def _run_serve_bench_cmd(args, collect_metrics: bool) -> int:
     _print_latency_table(report)
     _print_serve_stats(report.stats)
     code = 0
-    if comparison is None:
+    baseline = comparison["unsieved"] if comparison is not None else None
+    failures = [
+        (run.gate_kind, failure)
+        for run in (report, baseline) if run is not None
+        for failure in run.failures.values()
+    ]
+    if failures:
+        # The totals above cover the surviving clients only; a savings
+        # figure would compare unequal request streams.
+        for gate, failure in failures:
+            print(f"FAILED [{gate}] {failure}", file=sys.stderr)
+        code = 1
+    elif comparison is None:
         print(f"  allocation writes: {report.allocation_writes}")
     else:
-        baseline = comparison["unsieved"]
         saved = comparison["allocation_writes_saved"]
         ratio = comparison["allocation_write_ratio"]
         percent = f" ({(1 - ratio) * 100:.1f}% fewer)" if ratio is not None else ""
@@ -1268,26 +1278,14 @@ def _run_serve_bench_cmd(args, collect_metrics: bool) -> int:
         if comparison is not None:
             payload = {
                 "sieved": report.to_dict(),
-                "baseline": comparison["unsieved"].to_dict(),
+                "baseline": baseline.to_dict(),
                 "allocation_writes_saved": comparison["allocation_writes_saved"],
                 "allocation_write_ratio": comparison["allocation_write_ratio"],
             }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(payload, handle, indent=2)
-            handle.write("\n")
+        atomic_write_json(args.json, payload)
         print(f"report written to {args.json}")
     if args.manifest:
-        manifest = report.manifest()
-        if comparison is not None:
-            manifest = {
-                "version": manifest["version"],
-                "kind": "serve-bench-comparison",
-                "sieved": report.manifest(),
-                "baseline": comparison["unsieved"].manifest(),
-            }
-        with open(args.manifest, "w", encoding="utf-8") as handle:
-            json_module.dump(manifest, handle, indent=2)
-            handle.write("\n")
+        report.save_manifest(args.manifest, baseline=baseline)
         print(f"run manifest written to {args.manifest}")
     return code
 

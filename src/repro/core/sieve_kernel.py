@@ -11,7 +11,7 @@ state machine over flat arrays so the fast engine
 * :class:`ArrayIMCT` — the IMCT as numpy state: a ``(slots, k)`` uint8
   count matrix (saturating at :data:`~repro.core.windows.COUNTER_SATURATION`)
   plus an int64 ``last_subwindow`` vector.  SplitMix64 is reimplemented
-  over uint64 arrays (:func:`mix64_array`) with the salt mix hoisted, so
+  over uint64 arrays (:func:`~repro.util.hashing.mix64_array`) with the salt mix hoisted, so
   slot indices for a whole columnar chunk come out of one vectorized
   pass.  ``record_batch`` resolves a subwindow-homogeneous batch of
   recordings with sort-by-slot + per-slot occurrence ordinals — the
@@ -44,43 +44,8 @@ from repro.cache.allocation import AllocationPolicy
 from repro.core.imct import ImpreciseMissCountTable
 from repro.core.sievestore_c import SieveStoreC
 from repro.core.windows import COUNTER_SATURATION
+from repro.util.hashing import bucket_array, mix64_array  # noqa: F401 -- mix64_array re-exported
 from repro.util.intervals import bucket_indices
-
-#: SplitMix64 constants as uint64 scalars; array ops against them wrap
-#: modulo 2**64 exactly like the masked Python arithmetic in
-#: :func:`repro.util.hashing.mix64`.
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MULT1 = np.uint64(0xBF58476D1CE4E5B9)
-_MULT2 = np.uint64(0x94D049BB133111EB)
-_SHIFT30 = np.uint64(30)
-_SHIFT27 = np.uint64(27)
-_SHIFT31 = np.uint64(31)
-
-
-def mix64_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer over a uint64 array.
-
-    Bit-identical to mapping :func:`repro.util.hashing.mix64` over the
-    elements: uint64 addition/multiplication wrap silently for arrays,
-    which is exactly the ``& _MASK64`` reduction of the scalar code.
-    """
-    z = values.astype(np.uint64, copy=True)
-    z += _GOLDEN
-    z ^= z >> _SHIFT30
-    z *= _MULT1
-    z ^= z >> _SHIFT27
-    z *= _MULT2
-    z ^= z >> _SHIFT31
-    return z
-
-
-def bucket_array(values: np.ndarray, buckets: int, salted: int) -> np.ndarray:
-    """Vectorized :func:`repro.util.hashing.stable_bucket` with the salt
-    pre-mixed (``salted = mix64(salt)``); returns int64 slot indices."""
-    if buckets <= 0:
-        raise ValueError(f"buckets must be positive, got {buckets}")
-    mixed = mix64_array(values.astype(np.uint64) ^ np.uint64(salted))
-    return (mixed % np.uint64(buckets)).astype(np.int64)
 
 
 def subwindow_indices(times: np.ndarray, subwindow_seconds: float) -> np.ndarray:

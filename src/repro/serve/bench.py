@@ -1,36 +1,40 @@
 """Multi-client serve bench: concurrent replay against one store.
 
 The bench answers the serving-mode question end to end: N client
-processes replay disjoint shards of one trace against a **shared**
+processes replay disjoint partitions of one trace against a **shared**
 store directory, each measuring real per-operation wall latency, and
 the parent merges raw samples into nearest-rank percentiles plus a
 sieved-vs-unsieved allocation-write comparison.
 
-Client sharding is **by address hash**, not by time: every address is
-always handled by the same client process
-(``stable_bucket(address, clients, _CLIENT_SALT)``), so each client's
-private sieve gate sees the complete miss history of its addresses and
-miss-counting stays exact with zero cross-process coordination.  The
-store directory is shared — sqlite WAL and the shard fanout carry the
-concurrency.
+Client partitioning is **by address hash**, not by time: every address
+is always handled by the same client (``bucket_array(address, clients,
+mix64(_CLIENT_SALT))``), so each client's private sieve gate sees the
+complete miss history of its addresses and miss-counting stays exact
+with zero cross-process coordination.  The store directory is shared —
+sqlite WAL and the shard fanout carry the concurrency.
 
-The worker/manifest shape follows :mod:`repro.sim.parallel`: per-client
-``.npz`` shards written up front, one top-level picklable task function
-per client, raw results shipped back whole (latency percentiles do not
-compose from per-client summaries — see
-:func:`repro.serve.percentiles.merge_samples`), a
-``BrokenProcessPool`` serial fallback, and a JSON manifest recording
-each client's execution.
+Clients run as tasks of :func:`repro.sim.parallel.run_tasks`, named
+``client-0`` … ``client-N-1`` (the names ``SIEVESTORE_FAULT_INJECT``
+keys on).  The trace is written once as a one-segment store; each
+client reads it and keeps its own rows.  Raw results ship back whole
+(latency percentiles do not compose from per-client summaries — see
+:func:`repro.serve.percentiles.merge_samples`), and a client that
+fails after its retry is recorded in the manifest, not raised.
+
+Clients are **idempotent**: before it replays, every attempt deletes
+the store keys its address partition owns.  A retry, the serial
+fallback after a broken pool, and a re-run into an existing store
+therefore all report what a clean run reports.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -46,15 +50,18 @@ from repro.serve.store import (
     DEFAULT_SHARDS,
     ShardedByteStore,
 )
+from repro.sim.parallel import PolicyFailure, TaskRecord, run_tasks, worker_store
 from repro.traces.columnar import ColumnarTrace
-from repro.util.atomic import atomic_write
-from repro.util.hashing import stable_bucket
+from repro.traces.segments import segment_columnar
+from repro.util.atomic import atomic_write_json
+from repro.util.hashing import bucket_array, mix64
 
 #: Salt decorrelating client partitioning from store-shard placement.
 _CLIENT_SALT = 0xC11E27
 
-#: Manifest schema version for serve-bench runs.
-MANIFEST_VERSION = 1
+#: Manifest schema version for serve-bench runs.  v2 added per-client
+#: ``outcome``, ``retries`` and ``error`` (failed clients are recorded).
+MANIFEST_VERSION = 2
 
 #: Latency classes the bench reports.
 OP_KINDS = ("read", "write")
@@ -97,6 +104,25 @@ class ClientReport:
     executor: str = "pool"
 
 
+def _client_row(
+    client: int, record: TaskRecord, report: Optional[ClientReport]
+) -> dict:
+    """One client's manifest row (schema ``serve-manifest-client``)."""
+    return {
+        "client": client,
+        "outcome": record.outcome,
+        "retries": record.retries,
+        "error": record.error,
+        "requests": report.requests if report is not None else None,
+        "wall_seconds": round(record.wall_seconds, 6),
+        "worker_pid": record.worker_pid,
+        "executor": record.executor,
+        "allocation_writes": (
+            report.stats.allocation_writes if report is not None else None
+        ),
+    }
+
+
 @dataclass
 class BenchReport:
     """The merged outcome of one serve-bench run."""
@@ -108,7 +134,17 @@ class BenchReport:
     #: nearest-rank summaries per op kind; None when the op never ran.
     latency: Dict[str, Optional[LatencySummary]]
     stats: ServeStats
+    #: reports of the clients that completed, in client order.
     client_reports: List[ClientReport] = field(default_factory=list)
+    #: one execution record per client, in client order.
+    tasks: List[TaskRecord] = field(default_factory=list)
+    #: clients that failed after their retry, keyed by task name.
+    failures: Dict[str, PolicyFailure] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        """True when every client completed."""
+        return not self.failures
 
     @property
     def allocation_writes(self) -> int:
@@ -122,6 +158,8 @@ class BenchReport:
             "requests": self.requests,
             "wall_seconds": round(self.wall_seconds, 6),
             "allocation_writes": self.allocation_writes,
+            # Totals above cover only the clients that completed.
+            "failed_clients": list(self.failures),
             "latency": {
                 op: summary.to_dict() if summary is not None else None
                 for op, summary in sorted(self.latency.items())
@@ -130,31 +168,40 @@ class BenchReport:
         }
 
     def manifest(self) -> dict:
-        """Per-client execution records, :mod:`repro.sim.parallel` style."""
+        """Per-client execution records, one row per client."""
+        reports = {report.client: report for report in self.client_reports}
         return {
             "version": MANIFEST_VERSION,
             "kind": "serve-bench",
             "gate": self.gate_kind,
             "clients": [
-                {
-                    "client": report.client,
-                    "requests": report.requests,
-                    "wall_seconds": round(report.wall_seconds, 6),
-                    "worker_pid": report.worker_pid,
-                    "executor": report.executor,
-                    "allocation_writes": report.stats.allocation_writes,
-                }
-                for report in sorted(self.client_reports, key=lambda r: r.client)
+                _client_row(client, record, reports.get(client))
+                for client, record in enumerate(self.tasks)
             ],
         }
 
-    def save_manifest(self, path: Union[str, Path]) -> None:
-        import json
+    def save_manifest(
+        self, path: Union[str, Path], baseline: Optional["BenchReport"] = None
+    ) -> None:
+        """Write the manifest atomically.
 
-        with atomic_write(Path(path)) as handle:
-            handle.write(
-                (json.dumps(self.manifest(), indent=2) + "\n").encode()
-            )
+        With ``baseline`` (the unsieved pass of a comparison) the file
+        wraps both passes' manifests as ``serve-bench-comparison``.
+        """
+        manifest = self.manifest()
+        if baseline is not None:
+            manifest = {
+                "version": MANIFEST_VERSION,
+                "kind": "serve-bench-comparison",
+                "sieved": manifest,
+                "baseline": baseline.manifest(),
+            }
+        atomic_write_json(path, manifest)
+
+
+def _client_of(addresses: np.ndarray, clients: int) -> np.ndarray:
+    """The owning client of every address (int64, vectorized)."""
+    return bucket_array(addresses, clients, mix64(_CLIENT_SALT))
 
 
 def partition_by_address(columns: ColumnarTrace, clients: int) -> List[np.ndarray]:
@@ -166,15 +213,13 @@ def partition_by_address(columns: ColumnarTrace, clients: int) -> List[np.ndarra
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
-    buckets = np.fromiter(
-        (
-            stable_bucket(int(address), clients, salt=_CLIENT_SALT)
-            for address in columns.address.tolist()
-        ),
-        dtype=np.int64,
-        count=len(columns),
-    )
-    return [np.flatnonzero(buckets == index) for index in range(clients)]
+    owner = _client_of(columns.address, clients)
+    return [np.flatnonzero(owner == index) for index in range(clients)]
+
+
+def client_task_names(clients: int) -> List[str]:
+    """Task names of a bench's clients (``client-0`` … ``client-N-1``)."""
+    return [f"client-{index}" for index in range(clients)]
 
 
 def _build_cache(
@@ -204,6 +249,19 @@ def _build_cache(
     return ServingCache(store, gate, backend, injector)
 
 
+def _forget_partition(store: ShardedByteStore, client: int, clients: int) -> None:
+    """Delete every stored key this client's address partition owns.
+
+    Makes a client attempt idempotent: whatever an earlier attempt (or
+    an earlier run into the same store) left behind, the replay starts
+    from the state a fresh store gives it.  Other clients' keys are
+    never touched.  On a fresh store there are no keys to scan.
+    """
+    keys = np.fromiter(store.keys(), dtype=np.int64)
+    for key in keys[_client_of(keys, clients) == client].tolist():
+        store.delete(key)
+
+
 def _replay(
     cache: ServingCache, columns: ColumnarTrace
 ) -> Dict[str, List[float]]:
@@ -225,25 +283,16 @@ def _replay(
 
 
 def _run_client(
-    client: int,
-    shard_path: str,
-    store_dir: str,
-    options: BenchOptions,
+    store_dir: str, clients: int, options: BenchOptions, name: str
 ) -> ClientReport:
-    """One client's whole run (top-level: must pickle into workers)."""
-    import os
-
-    columns = ColumnarTrace.load_npz(shard_path)
+    """Client task: replay this client's rows of the installed trace."""
+    client = int(name.rsplit("-", 1)[1])
+    columns = worker_store().load_all()
+    columns = columns.take(partition_by_address(columns, clients)[client])
     started = time.perf_counter()
-    snapshot = None
-    if options.collect_metrics:
-        with runtime.scoped_registry() as obs_context:
-            with _build_cache(store_dir, client, options) as cache:
-                latencies = _replay(cache, columns)
-            snapshot = obs_context.registry.snapshot()
-    else:
-        with _build_cache(store_dir, client, options) as cache:
-            latencies = _replay(cache, columns)
+    with _build_cache(store_dir, client, options) as cache:
+        _forget_partition(cache.store, client, clients)
+        latencies = _replay(cache, columns)
     return ClientReport(
         client=client,
         requests=len(columns),
@@ -252,28 +301,6 @@ def _run_client(
         latencies=latencies,
         stats=cache.stats,
         gate_admissions=gate_allocation_writes(cache.gate),
-        metrics=snapshot,
-    )
-
-
-def _merge_reports(
-    gate_kind: str,
-    clients: int,
-    reports: Sequence[ClientReport],
-    wall_seconds: float,
-) -> BenchReport:
-    latency: Dict[str, Optional[LatencySummary]] = {}
-    for op in OP_KINDS:
-        samples = merge_samples(report.latencies[op] for report in reports)
-        latency[op] = summarize(samples) if samples else None
-    return BenchReport(
-        gate_kind=gate_kind,
-        clients=clients,
-        requests=sum(report.requests for report in reports),
-        wall_seconds=wall_seconds,
-        latency=latency,
-        stats=ServeStats.merged(report.stats for report in reports),
-        client_reports=list(reports),
     )
 
 
@@ -287,72 +314,54 @@ def run_serve_bench(
 ) -> BenchReport:
     """Replay ``columns`` through ``clients`` processes sharing one store.
 
-    ``work_dir`` receives the per-client ``.npz`` trace shards (the
-    same hand-off :mod:`repro.sim.parallel` uses — workers load columns
-    from disk instead of unpickling arrays through the pool).  With
-    ``parallel=False`` (or a single client) everything runs in-process,
-    which is also the automatic fallback when the pool breaks.
+    ``work_dir`` receives the trace as a one-segment store (the
+    hand-off every :func:`~repro.sim.parallel.run_tasks` worker uses —
+    clients read columns from disk instead of unpickling arrays through
+    the pool).  With ``parallel=False`` (or a single client) every
+    client runs in-process, which is also the automatic fallback when
+    the pool breaks.
     """
     if options is None:
         options = BenchOptions()
     if options.collect_metrics and not runtime.enabled():
-        options = BenchOptions(**{**options.__dict__, "collect_metrics": False})
-    work_dir = Path(work_dir)
-    work_dir.mkdir(parents=True, exist_ok=True)
-    shard_paths: List[str] = []
-    for client, indices in enumerate(partition_by_address(columns, clients)):
-        shard = columns.take(indices)
-        path = work_dir / f"client-{client:03d}.npz"
-        shard.save_npz(path)
-        shard_paths.append(str(path))
+        options = replace(options, collect_metrics=False)
+    if clients < 1:
+        raise ValueError(f"clients must be >= 1, got {clients}")
+    trace_dir = Path(work_dir) / "trace"
+    segment_columnar(columns, trace_dir, rows_per_segment=max(1, len(columns)))
 
     started = time.perf_counter()
-    reports: List[ClientReport]
-    if parallel and clients > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=clients) as pool:
-                futures = [
-                    pool.submit(
-                        _run_client, client, shard_paths[client],
-                        str(store_dir), options,
-                    )
-                    for client in range(clients)
-                ]
-                reports = [future.result() for future in futures]
-        except BrokenProcessPool:
-            reports = _run_serial(shard_paths, store_dir, options)
-            for report in reports:
-                report.executor = "serial-fallback"
-    else:
-        reports = _run_serial(shard_paths, store_dir, options)
-        for report in reports:
-            report.executor = "serial"
+    run = run_tasks(
+        client_task_names(clients),
+        functools.partial(_run_client, str(store_dir), clients, options),
+        jobs=clients if parallel else 1,
+        store_dir=trace_dir,
+        collect_metrics=options.collect_metrics,
+    )
     wall_seconds = time.perf_counter() - started
 
-    merged = _merge_reports(options.gate_kind, clients, reports, wall_seconds)
-    _adopt_metrics(reports)
-    return merged
-
-
-def _run_serial(
-    shard_paths: Sequence[str],
-    store_dir: Union[str, Path],
-    options: BenchOptions,
-) -> List[ClientReport]:
-    return [
-        _run_client(client, path, str(store_dir), options)
-        for client, path in enumerate(shard_paths)
-    ]
-
-
-def _adopt_metrics(reports: Sequence[ClientReport]) -> None:
-    """Merge worker metric snapshots into the parent registry, if on."""
-    registry = runtime.get_registry()
-    if registry is None:
-        return
-    for report in reports:
-        if report.metrics is not None:
-            registry.merge_snapshot(report.metrics)
+    reports: List[ClientReport] = []
+    for outcome in run.outcomes.values():
+        if outcome.ok:
+            report = outcome.value
+            report.executor = outcome.record.executor
+            report.metrics = outcome.snapshot
+            reports.append(report)
+    latency: Dict[str, Optional[LatencySummary]] = {}
+    for op in OP_KINDS:
+        samples = merge_samples(report.latencies[op] for report in reports)
+        latency[op] = summarize(samples) if samples else None
+    return BenchReport(
+        gate_kind=options.gate_kind,
+        clients=clients,
+        requests=sum(report.requests for report in reports),
+        wall_seconds=wall_seconds,
+        latency=latency,
+        stats=ServeStats.merged(report.stats for report in reports),
+        client_reports=reports,
+        tasks=[outcome.record for outcome in run.outcomes.values()],
+        failures=run.failures(),
+    )
 
 
 def run_sieve_comparison(
@@ -364,9 +373,11 @@ def run_sieve_comparison(
 ) -> Dict[str, object]:
     """Two-pass bench: the sieve vs. the allocate-on-demand baseline.
 
-    Each pass gets a fresh store directory under ``base_dir``; the
+    Each pass gets its own store directory under ``base_dir``; the
     returned dict carries both :class:`BenchReport` objects plus the
     headline number — allocation writes the sieve kept off the device.
+    The savings are ``None`` when a client of either pass failed: the
+    passes then replayed unequal request streams.
     """
     if options is None:
         options = BenchOptions()
@@ -379,25 +390,22 @@ def run_sieve_comparison(
         options=options,
         parallel=parallel,
     )
-    unsieved_options = BenchOptions(
-        **{**options.__dict__, "gate_kind": "unsieved"}
-    )
     unsieved = run_serve_bench(
         columns,
         base_dir / "store-unsieved",
         base_dir / "shards",
         clients=clients,
-        options=unsieved_options,
+        options=replace(options, gate_kind="unsieved"),
         parallel=parallel,
     )
-    saved = unsieved.allocation_writes - sieved.allocation_writes
+    saved = ratio = None
+    if sieved.ok and unsieved.ok:
+        saved = unsieved.allocation_writes - sieved.allocation_writes
+        if unsieved.allocation_writes:
+            ratio = sieved.allocation_writes / unsieved.allocation_writes
     return {
         "sieved": sieved,
         "unsieved": unsieved,
         "allocation_writes_saved": saved,
-        "allocation_write_ratio": (
-            sieved.allocation_writes / unsieved.allocation_writes
-            if unsieved.allocation_writes
-            else None
-        ),
+        "allocation_write_ratio": ratio,
     }

@@ -288,31 +288,15 @@ def run_policy_suite(
     worker process boundary; parallel runs report per task via
     ``on_task_done``.
     """
-    if jobs is None or jobs > 1:
-        from repro.sim.parallel import run_suite_parallel
+    from repro.sim.parallel import run_suite_parallel
 
-        return run_suite_parallel(
-            ctx,
-            names,
-            track_minutes=track_minutes,
-            fast_path=fast_path,
-            jobs=jobs,
-            task_timeout=task_timeout,
-            fault_plan=fault_plan,
-            epoch_seconds=epoch_seconds,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            collect_metrics=collect_metrics,
-            on_task_done=on_task_done,
-        )
-    from repro.sim.parallel import run_suite_serial
-
-    return run_suite_serial(
+    return run_suite_parallel(
         ctx, names, track_minutes=track_minutes, fast_path=fast_path,
-        fault_plan=fault_plan, epoch_seconds=epoch_seconds,
-        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-        collect_metrics=collect_metrics, on_task_done=on_task_done,
-        progress_every=progress_every, progress_hook=progress_hook,
+        jobs=jobs, task_timeout=task_timeout, fault_plan=fault_plan,
+        epoch_seconds=epoch_seconds, checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every, collect_metrics=collect_metrics,
+        on_task_done=on_task_done, progress_every=progress_every,
+        progress_hook=progress_hook,
     )
 
 

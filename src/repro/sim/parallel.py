@@ -1,54 +1,41 @@
-"""Parallel policy-suite execution over one shared columnar trace.
+"""One task executor for every process fan-out in the repo.
 
-The Figure 5 suite replays the *same* trace through nine independent
-policy configurations; nothing flows between the runs, so they
-parallelize perfectly.  This module fans the runs across
-``concurrent.futures`` worker processes:
+Three workloads fan independent tasks across worker processes: a
+**policy suite** (:func:`run_suite_parallel`, several policies over the
+same trace), a **sharded replay** (:func:`run_sharded_replay`, one
+policy over disjoint server shards of a segment store), and the
+**serve bench** (:func:`repro.serve.bench.run_serve_bench`, clients
+replaying disjoint address partitions against one byte store).
 
-* the parent serializes the columnar trace once to a temporary ``.npz``
-  file (a compact binary write, far cheaper than pickling object
-  traces per task);
-* each worker's initializer loads the file once and rebuilds the
-  :class:`~repro.sim.experiment.ExperimentContext` — per-day block
-  counts are recomputed vectorized from the columns, which the test
-  suite asserts is identical to the reference computation;
-* each task runs one policy and pickles its full
-  :class:`~repro.sim.engine.SimulationResult` back (benchmarks inspect
-  ``result.policy`` and ``result.cache``, not just the stats).
+All three are thin adapters over :func:`run_tasks`, the only place that
+builds a process pool.  An adapter supplies a top-level worker function
+``worker(name) -> value`` and turns the per-task outcomes into its own
+result type.  ``jobs=1`` runs the very same worker in-process.
 
-Results are deterministic and equal to a serial run: every worker sees
-the same trace bytes, the same seeds, and the same oracle inputs.
+Workers receive trace data only as a segment-store path
+(:mod:`repro.traces.segments`): the pool initializer opens the store
+once per worker process and tasks read it through :func:`worker_store`.
+A policy suite writes its in-RAM trace as a one-segment store and each
+worker rebuilds its experiment context from it once.  Results are
+deterministic and equal to a serial run.
 
-Fault tolerance and observability
----------------------------------
+Failures degrade instead of raising: a task that raises (or exceeds
+``timeout``) is retried **once**, then becomes a failed
+:class:`TaskOutcome` carrying a :class:`PolicyFailure`; a dead worker
+(``BrokenProcessPool``) routes every not-yet-collected task through
+in-process **serial fallback**, keeping completed results.  Every task
+gets a :class:`TaskRecord`, the row type of the run manifests (schemas
+in the README).
 
-Long-running multi-config sweeps cannot afford to lose every completed
-run to one sick worker, so :func:`run_suite_parallel` degrades instead
-of raising:
-
-* a task that raises (or exceeds ``task_timeout``) is retried **once**;
-  a second failure becomes a structured :class:`PolicyFailure` in the
-  returned :class:`SuiteRun` rather than an exception;
-* a dead worker process (``BrokenProcessPool``) routes every
-  not-yet-collected task through in-process **serial fallback**
-  execution against the parent's own context — completed pool results
-  are kept, and serial results are bit-identical to a serial run;
-* every task's engine used, wall seconds, retries, worker pid, and
-  outcome is recorded in a JSON-serializable **run manifest**
-  (:attr:`SuiteRun.manifest`, schema in the README).
-
-For CI and testing, the ``SIEVESTORE_FAULT_INJECT`` environment
-variable (format ``mode:policy[:arg]``) injects failures into the named
-policy's task: ``raise`` fails it every time, ``crash`` hard-kills the
-worker process (``os._exit``; in serial execution it degrades to a
-raise), ``flaky:policy:marker-path`` fails only the first execution
-(exercising the retry path), and ``hang:policy:seconds`` sleeps in the
-worker (exercising ``task_timeout``).  Unset means zero effect.
+For CI and testing, ``SIEVESTORE_FAULT_INJECT=mode:task[:arg]`` injects
+failures into the named task: ``raise`` fails it every time, ``crash``
+hard-kills the worker process, ``flaky:task:marker-path`` fails only the
+first execution, and ``hang:task:seconds`` sleeps in the worker.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import os
 import tempfile
 import time
@@ -60,12 +47,11 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
 
 from repro.sim import engine as _engine
 from repro.sim.engine import DEFAULT_CHECKPOINT_EVERY, SimulationResult
-from repro.traces.columnar import ColumnarTrace
-from repro.util.atomic import atomic_write
+from repro.util.atomic import atomic_write_json
 
 #: Bump on manifest layout changes; consumers refuse unknown versions.
 #: v2 added per-task ``fault_plan`` (plan fingerprint) and
@@ -77,70 +63,50 @@ MANIFEST_SCHEMA_VERSION = 2
 #: block.  Runs without observability keep emitting v2 byte-identically.
 MANIFEST_SCHEMA_VERSION_METRICS = 3
 
-#: Environment variable enabling fault injection (``mode:policy[:arg]``).
+#: Bump on sharded-replay manifest layout changes; consumers refuse
+#: unknown versions.
+SHARD_MANIFEST_VERSION = 1
+
+#: Environment variable enabling fault injection (``mode:task[:arg]``).
 FAULT_ENV_VAR = "SIEVESTORE_FAULT_INJECT"
 
 #: Attempts per task: the initial run plus one bounded retry.
 MAX_ATTEMPTS = 2
 
-#: Per-process simulation context, installed by the pool initializer.
-_WORKER_CONTEXT = None
+#: The segment store this process's tasks read, installed by
+#: :func:`_init_worker` (pool initializer, or around in-process runs).
+_WORKER_STORE = None
 
 
 class InjectedWorkerFault(RuntimeError):
     """Raised by the fault-injection hook (testing/CI only)."""
 
 
-def _write_json_atomic(path: Union[str, Path], payload: dict) -> None:
-    """Publish ``payload`` as indented JSON all-or-nothing.
-
-    Manifests are polled by monitoring tooling while runs are live, so
-    a torn write must never be observable.
-    """
-    encoded = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-    with atomic_write(path) as handle:
-        handle.write(encoded)
-
-
-def _parse_fault_spec() -> Optional[tuple]:
-    spec = os.environ.get(FAULT_ENV_VAR)
-    if not spec:
-        return None
-    parts = spec.split(":", 2)
-    mode = parts[0].strip().lower()
-    policy = parts[1] if len(parts) > 1 else ""
-    arg = parts[2] if len(parts) > 2 else None
-    return mode, policy, arg
-
-
 def _maybe_inject_fault(name: str, in_worker: bool) -> None:
     """Apply the ``SIEVESTORE_FAULT_INJECT`` spec to task ``name``.
 
-    No-op unless the env var is set and names this policy.  ``crash``
-    only hard-exits inside a worker process — in serial (parent)
-    execution it raises instead, so fault injection can never take the
-    caller's process down.
+    ``crash`` only hard-exits inside a worker process; in-process it
+    raises instead, so it can never take the caller's process down.
     """
-    spec = _parse_fault_spec()
-    if spec is None:
+    spec = os.environ.get(FAULT_ENV_VAR)
+    if not spec:
         return
-    mode, policy, arg = spec
-    if policy != name:
+    parts = spec.split(":", 2)
+    mode = parts[0].strip().lower()
+    target = parts[1] if len(parts) > 1 else ""
+    arg = parts[2] if len(parts) > 2 else None
+    if target != name:
         return
     if mode == "crash":
         if in_worker:
             os._exit(70)
-        raise InjectedWorkerFault(
-            f"injected crash for {name!r} (serial execution)"
-        )
+        raise InjectedWorkerFault(f"injected crash for {name!r} (serial execution)")
     if mode == "raise":
         raise InjectedWorkerFault(f"injected failure for {name!r}")
     if mode == "flaky":
         if not arg:
-            raise ValueError(
-                "flaky fault injection needs a marker path: "
-                "SIEVESTORE_FAULT_INJECT=flaky:policy:/path/to/marker"
-            )
+            raise ValueError(f"flaky fault injection needs a marker path: {FAULT_ENV_VAR}"
+                             "=flaky:task:/path/to/marker")
         try:
             with open(arg, "x"):
                 pass
@@ -153,83 +119,32 @@ def _maybe_inject_fault(name: str, in_worker: bool) -> None:
     raise ValueError(f"unknown fault-injection mode {mode!r} in {FAULT_ENV_VAR}")
 
 
-def _init_worker(trace_path: str, days: int, scale: float, seed: int) -> None:
-    from repro.sim.experiment import context_for_trace
+def _init_worker(store) -> None:
+    """Install the segment store (a directory, an opened store, or
+    None) this process's tasks read: once per pool worker, or around
+    in-process execution, which restores the previous one after."""
+    from repro.traces.segments import SegmentStore
 
-    global _WORKER_CONTEXT
-    columns = ColumnarTrace.load_npz(trace_path)
-    # Set once per worker process by the pool initializer; workers only
-    # ever read it.  This is the sanctioned worker-global idiom.
-    _WORKER_CONTEXT = context_for_trace(columns, days=days, scale=scale, seed=seed)  # sievelint: disable=SVL008 -- initializer-set worker global, read-only afterwards
-
-
-def _checkpoint_meta(checkpoint_dir, name: str, checkpoint_every) -> Optional[dict]:
-    """Per-task checkpoint manifest metadata (None when not checkpointing)."""
-    if checkpoint_dir is None:
-        return None
-    return {
-        "path": str(Path(checkpoint_dir) / f"{name}.ckpt"),
-        "every": (
-            checkpoint_every
-            if checkpoint_every is not None
-            else DEFAULT_CHECKPOINT_EVERY
-        ),
-    }
+    global _WORKER_STORE
+    if store is not None and not isinstance(store, SegmentStore):
+        store = SegmentStore.open(store)
+    _WORKER_STORE = store  # sievelint: disable=SVL008 -- initializer-set worker global
 
 
-def _run_one(
-    name: str,
-    track_minutes: bool,
-    fast_path: bool,
-    fault_plan=None,
-    epoch_seconds=None,
-    checkpoint_dir=None,
-    checkpoint_every=None,
-    collect_metrics: bool = False,
-):
-    from repro.sim.experiment import run_policy
-
-    assert _WORKER_CONTEXT is not None, "worker initializer did not run"
-    # Warn-once state must not depend on what else ran in this worker
-    # process (workers execute several tasks back to back).
-    _engine._reset_fallback_warnings()
-    _maybe_inject_fault(name, in_worker=True)
-    meta = _checkpoint_meta(checkpoint_dir, name, checkpoint_every)
-    snapshot = None
-    started = time.perf_counter()
-    if collect_metrics:
-        from repro.obs.runtime import scoped_registry
-
-        with scoped_registry() as obs_context:
-            result = run_policy(
-                name, _WORKER_CONTEXT, track_minutes=track_minutes,
-                fast_path=fast_path, fault_plan=fault_plan,
-                epoch_seconds=epoch_seconds,
-                checkpoint_path=meta["path"] if meta else None,
-                checkpoint_every=checkpoint_every,
-            )
-            snapshot = obs_context.registry.snapshot()
-    else:
-        result = run_policy(
-            name, _WORKER_CONTEXT, track_minutes=track_minutes,
-            fast_path=fast_path, fault_plan=fault_plan,
-            epoch_seconds=epoch_seconds,
-            checkpoint_path=meta["path"] if meta else None,
-            checkpoint_every=checkpoint_every,
-        )
-    return name, os.getpid(), time.perf_counter() - started, result, snapshot
+def worker_store():
+    """The segment store installed for the running task."""
+    if _WORKER_STORE is None:
+        raise RuntimeError("no segment store installed; pass store_dir to run_tasks")
+    return _WORKER_STORE
 
 
 def default_jobs() -> int:
     """Worker count when the caller asks for 'all cores'.
 
-    Prefers the process's scheduling affinity mask
-    (``os.sched_getaffinity``) over ``os.cpu_count()``: in
-    cgroup/affinity-limited containers and CI runners the machine may
-    expose many more cores than this process is allowed to run on, and
-    oversubscribing them just adds contention.  Falls back to
-    ``cpu_count`` on platforms without affinity support (macOS,
-    Windows).
+    Prefers the scheduling affinity mask over ``os.cpu_count()``:
+    affinity-limited containers and CI runners may expose many more
+    cores than this process may run on.  Falls back to ``cpu_count``
+    where affinity is unsupported (macOS, Windows).
     """
     getaffinity = getattr(os, "sched_getaffinity", None)
     if getaffinity is not None:
@@ -244,7 +159,7 @@ def default_jobs() -> int:
 
 @dataclass
 class TaskRecord:
-    """One suite task's execution record (a manifest row)."""
+    """One task's execution record (a manifest row)."""
 
     policy: str
     outcome: str  # "ok" | "failed" | "timeout"
@@ -282,7 +197,7 @@ class TaskRecord:
 
 @dataclass
 class PolicyFailure:
-    """Structured record of a policy run that could not be completed."""
+    """Structured record of a task that could not be completed."""
 
     policy: str
     error_type: str
@@ -296,36 +211,289 @@ class PolicyFailure:
         )
 
 
+@dataclass
+class TaskOutcome:
+    """One task's final result: the worker's value, or why it failed."""
+
+    record: TaskRecord
+    value: object = None  # the worker's return value
+    failure: Optional[PolicyFailure] = None
+    snapshot: object = None  # metrics snapshot (collecting runs only)
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
+
+
+@dataclass
+class TaskRun:
+    """Everything :func:`run_tasks` learned, keyed by task name."""
+
+    outcomes: "OrderedDict[str, TaskOutcome]"  # in requested order
+    pool_broken: bool
+    metrics: object = None  # merged snapshot (collecting runs only)
+
+    def values(self) -> "OrderedDict[str, object]":
+        """Worker return values of the tasks that succeeded."""
+        return OrderedDict(
+            (name, o.value) for name, o in self.outcomes.items() if o.ok
+        )
+
+    def failures(self) -> Dict[str, PolicyFailure]:
+        return {n: o.failure for n, o in self.outcomes.items() if o.failure}
+
+    def task_rows(self) -> List[dict]:
+        """Manifest rows, one per task."""
+        return [o.record.to_dict() for o in self.outcomes.values()]
+
+
+def _attempt(worker: Callable, name: str, collect_metrics: bool, in_worker: bool):
+    """One execution of ``worker(name)``, in a pool worker or in-process.
+
+    Resets the fast-path warn-once latch (whether a run warns must not
+    depend on what else ran in this process), applies fault injection,
+    and optionally runs the task under a fresh scoped metrics registry
+    whose snapshot travels home with the result.
+    """
+    _engine._reset_fallback_warnings()
+    _maybe_inject_fault(name, in_worker)
+    started = time.perf_counter()
+    snapshot = None
+    if collect_metrics:
+        from repro.obs.runtime import scoped_registry
+
+        with scoped_registry() as obs_context:
+            value = worker(name)
+            snapshot = obs_context.registry.snapshot()
+    else:
+        value = worker(name)
+    return os.getpid(), time.perf_counter() - started, value, snapshot
+
+
+#: Bounds for parent-side wait on one task's result (seconds).
+_WAIT_BUCKETS = (
+    0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0, 300.0, 1800.0,
+)
+
+
+def _note_task(registry, record: TaskRecord, waited: float) -> None:
+    """Count one finished task in the run's metrics registry."""
+    registry.counter(
+        "suite_tasks_total",
+        "Suite tasks by outcome and executor",
+        ("outcome", "executor"),
+    ).inc(outcome=record.outcome, executor=record.executor)
+    if record.retries:
+        registry.counter(
+            "suite_retries_total",
+            "Task retries (second submissions)",
+            ("policy",),
+        ).inc(record.retries, policy=record.policy)
+    registry.histogram(
+        "suite_task_wait_seconds",
+        "Parent wall time waiting on one task's result",
+        ("executor",),
+        buckets=_WAIT_BUCKETS,
+    ).observe(waited, executor=record.executor)
+
+
+def run_tasks(
+    names: Sequence[str],
+    worker: Callable[[str], object],
+    jobs: int = 1,
+    timeout: Optional[float] = None,
+    on_done: Optional[Callable[[TaskRecord], None]] = None,
+    store_dir: Union[None, str, Path] = None,
+    collect_metrics: Optional[bool] = None,
+    record_fields: Optional[Callable[[str], dict]] = None,
+) -> TaskRun:
+    """Run ``worker(name)`` once per task name, degrading on failure.
+
+    ``worker`` is a module-level callable (or a ``functools.partial``
+    of one over picklable data).  ``names`` are deduplicated in
+    first-occurrence order; they are what :data:`FAULT_ENV_VAR` keys
+    on.  ``jobs=1`` runs every task in-process (executor ``"serial"``).
+    ``timeout`` bounds the parent's wait for one pool task's result
+    (``None`` waits forever); every task gets :data:`MAX_ATTEMPTS`
+    attempts, pool and in-process alike.  ``on_done`` receives each task's
+    :class:`TaskRecord` as it finishes, in request order for pool
+    tasks.  Tasks read ``store_dir`` through :func:`worker_store`.
+    ``collect_metrics`` runs each task under a scoped registry, merges
+    the snapshots and task counts, and folds them into the process-wide
+    registry (``None`` follows the observability switch).
+    ``record_fields`` adds per-task :class:`TaskRecord` fields
+    (``fault_plan``, ``checkpoint``); a record's ``engine`` is the
+    value's ``engine`` attribute, if any.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+    from repro.obs import runtime as obs_runtime
+    from repro.obs.metrics import MetricsRegistry
+
+    names = list(dict.fromkeys(names))  # a duplicate would run twice
+    if collect_metrics is None:
+        collect_metrics = obs_runtime.enabled()
+    registry = MetricsRegistry() if collect_metrics else None
+    attempts = dict.fromkeys(names, 0)
+    outcomes: Dict[str, TaskOutcome] = {}
+
+    def finish(name, executor, waited, pid=None, wall=None, value=None,
+               snapshot=None, exc=None, outcome="ok") -> None:
+        failure = None
+        if exc is not None:
+            failure = PolicyFailure(
+                name, type(exc).__name__, str(exc), attempts[name] - 1
+            )
+        record = TaskRecord(
+            policy=name,
+            outcome=outcome,
+            engine=None if failure else getattr(value, "engine", None),
+            wall_seconds=waited if wall is None else wall,
+            retries=attempts[name] - 1,
+            worker_pid=pid,
+            executor=executor,
+            error=f"{failure.error_type}: {failure.message}" if failure else None,
+            metrics=snapshot.to_jsonable() if snapshot is not None else None,
+            **(record_fields(name) if record_fields is not None else {}),
+        )
+        outcomes[name] = TaskOutcome(record, value, failure, snapshot)
+        if registry is not None:
+            if snapshot is not None:
+                registry.merge_snapshot(snapshot)
+            _note_task(registry, record, waited)
+        if on_done is not None:
+            on_done(record)
+
+    leftover, pool_broken = list(names), False
+    if jobs > 1 and names:
+        leftover, pool_broken = _run_pool(
+            names, worker, jobs, timeout, store_dir, collect_metrics,
+            attempts, finish,
+        )
+        if leftover:
+            warnings.warn(
+                f"worker pool broke; running {len(leftover)} remaining task(s) "
+                f"serially in-process: {', '.join(leftover)}",
+                RuntimeWarning, stacklevel=3,
+            )
+    if leftover:
+        executor = "serial-fallback" if pool_broken else "serial"
+        previous = _WORKER_STORE
+        _init_worker(store_dir)
+        try:
+            for name in leftover:
+                started = time.perf_counter()
+                while True:
+                    attempts[name] += 1
+                    try:
+                        pid, wall, value, snapshot = _attempt(
+                            worker, name, collect_metrics, in_worker=False
+                        )
+                    except Exception as exc:
+                        if attempts[name] < MAX_ATTEMPTS:
+                            continue
+                        finish(name, executor, time.perf_counter() - started,
+                               pid=os.getpid(), exc=exc, outcome="failed")
+                    else:
+                        finish(name, executor, time.perf_counter() - started,
+                               pid=pid, wall=wall, value=value,
+                               snapshot=snapshot)
+                    break
+        finally:
+            _init_worker(previous)
+
+    metrics = None
+    if registry is not None:
+        metrics = registry.snapshot()
+        parent = obs_runtime.get_registry()
+        if parent is not None:
+            parent.merge_snapshot(metrics)
+    ordered = OrderedDict((name, outcomes[name]) for name in names)
+    return TaskRun(ordered, pool_broken, metrics)
+
+
+def _run_pool(names, worker, jobs, timeout, store_dir, collect_metrics,
+              attempts, finish):
+    """Fan ``names`` over a process pool, collecting in request order.
+
+    Returns ``(leftover, pool_broken)``: once the pool breaks, every
+    task not yet collected is left for in-process execution.
+    """
+    leftover: List[str] = []
+    broken = timed_out = False
+    futures: Dict[str, object] = {}
+    pool = ProcessPoolExecutor(
+        max_workers=min(jobs, len(names)),
+        initializer=_init_worker,
+        initargs=(None if store_dir is None else str(store_dir),),
+    )
+    try:
+        for index, name in enumerate(names):
+            waited_from = time.perf_counter()
+            while True:
+                try:
+                    # The first pass submits the whole batch; later
+                    # passes only resubmit a retried task.  A broken
+                    # pool refuses submissions with BrokenProcessPool.
+                    for pending in names[index:]:
+                        if pending not in futures:
+                            futures[pending] = pool.submit(
+                                _attempt, worker, pending, collect_metrics, True
+                            )
+                            attempts[pending] += 1
+                    future = futures.pop(name)
+                    pid, wall, value, snapshot = future.result(timeout=timeout)
+                except BrokenProcessPool:
+                    broken = True
+                    leftover.append(name)
+                    break
+                except Exception as exc:
+                    outcome = "failed"
+                    if isinstance(exc, _FuturesTimeout):
+                        timed_out = True
+                        future.cancel()
+                        outcome = "timeout"
+                        exc = TimeoutError(f"task exceeded {timeout}s timeout")
+                    if attempts[name] < MAX_ATTEMPTS:
+                        waited_from = time.perf_counter()
+                        continue
+                    finish(name, "pool", time.perf_counter() - waited_from,
+                           exc=exc, outcome=outcome)
+                else:
+                    finish(name, "pool", time.perf_counter() - waited_from,
+                           pid=pid, wall=wall, value=value, snapshot=snapshot)
+                break
+    finally:
+        # Don't block on a timed-out task still running in its worker.
+        # Otherwise wait: no worker of a broken pool may outlive it
+        # while the in-process fallback reruns its tasks.
+        pool.shutdown(wait=not timed_out, cancel_futures=True)
+    return leftover, broken
+
+
+# ---------------------------------------------------------------------------
+# Policy suites: many policies over one shared trace.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
 class SuiteRun(Mapping):
     """Results of one policy-suite run, with partial-failure visibility.
 
-    Behaves as a read-only mapping ``{policy name -> SimulationResult}``
-    over the *successful* runs (iteration order matches the requested
-    order), so existing ``dict``-shaped callers keep working.  On top of
-    that:
-
-    * :attr:`failures` maps failed policy names to
-      :class:`PolicyFailure` records — a failed task never discards the
-      completed ones;
-    * :attr:`manifest` is the JSON-serializable run manifest (one
-      :class:`TaskRecord` row per task; see the README for the schema);
-    * :attr:`metrics` is the suite's merged
-      :class:`~repro.obs.metrics.MetricsSnapshot` when metrics
-      collection was on (``None`` otherwise);
-    * :attr:`ok` is True when every requested policy produced a result.
+    A read-only mapping ``{policy name -> SimulationResult}`` over the
+    *successful* runs, in requested order.  :attr:`failures` maps
+    failed policy names to :class:`PolicyFailure` records (a failed
+    task never discards the completed ones), :attr:`manifest` is the
+    JSON-serializable run manifest (one :class:`TaskRecord` row per
+    task), and :attr:`metrics` the merged
+    :class:`~repro.obs.metrics.MetricsSnapshot` when metrics collection
+    was on.
     """
 
-    def __init__(
-        self,
-        results: "OrderedDict[str, SimulationResult]",
-        failures: Dict[str, PolicyFailure],
-        manifest: dict,
-        metrics=None,
-    ):
-        self.results = results
-        self.failures = failures
-        self.manifest = manifest
-        self.metrics = metrics
+    results: "OrderedDict[str, SimulationResult]"
+    failures: Dict[str, PolicyFailure]
+    manifest: dict
+    metrics: object = None
 
     def __getitem__(self, name: str) -> SimulationResult:
         return self.results[name]
@@ -343,266 +511,68 @@ class SuiteRun(Mapping):
 
     def save_manifest(self, path: Union[str, Path]) -> None:
         """Write the run manifest as indented JSON (atomically)."""
-        _write_json_atomic(path, self.manifest)
+        atomic_write_json(path, self.manifest)
 
 
 def _build_manifest(
     requested: Sequence[str],
     names: Sequence[str],
-    records: Dict[str, TaskRecord],
+    run: TaskRun,
     jobs: int,
     track_minutes: bool,
     fast_path: bool,
     task_timeout: Optional[float],
-    pool_broken: bool,
     wall_seconds: float,
-    suite_metrics: Optional[dict] = None,
 ) -> dict:
+    suite_metrics = run.metrics.to_jsonable() if run.metrics is not None else None
     manifest = {
-        "schema": (
-            MANIFEST_SCHEMA_VERSION_METRICS
-            if suite_metrics is not None
-            else MANIFEST_SCHEMA_VERSION
-        ),
+        "schema": MANIFEST_SCHEMA_VERSION if suite_metrics is None
+        else MANIFEST_SCHEMA_VERSION_METRICS,
         "requested": list(requested),
         "names": list(names),
         "jobs": jobs,
         "track_minutes": track_minutes,
         "fast_path": fast_path,
         "task_timeout": task_timeout,
-        "pool_broken": pool_broken,
+        "pool_broken": run.pool_broken,
         "wall_seconds": round(wall_seconds, 6),
-        "tasks": [records[name].to_dict() for name in names if name in records],
+        "tasks": run.task_rows(),
     }
     if suite_metrics is not None:
         manifest["metrics"] = suite_metrics
     return manifest
 
 
-def _resolve_collect_metrics(collect_metrics: Optional[bool]) -> bool:
-    """``None`` means "whatever the process-wide obs switch says"."""
-    if collect_metrics is not None:
-        return collect_metrics
-    from repro.obs import runtime as obs_runtime
-
-    return obs_runtime.enabled()
-
-
-def _suite_observer(collect_metrics: bool):
-    """Fresh suite-level registry, or ``None`` when metrics are off."""
-    if not collect_metrics:
+def _checkpoint_meta(checkpoint_dir, name: str, checkpoint_every) -> Optional[dict]:
+    """Per-task checkpoint manifest metadata (None when not checkpointing)."""
+    if checkpoint_dir is None:
         return None
-    from repro.obs.metrics import MetricsRegistry
-
-    return MetricsRegistry()
-
-
-#: Bounds for parent-side wait on one task's result (seconds).
-_WAIT_BUCKETS = (
-    0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0, 300.0, 1800.0,
-)
+    if checkpoint_every is None:
+        checkpoint_every = DEFAULT_CHECKPOINT_EVERY
+    return {"path": str(Path(checkpoint_dir) / f"{name}.ckpt"), "every": checkpoint_every}
 
 
-def _note_task(
-    suite_registry,
-    record: TaskRecord,
-    waited: Optional[float] = None,
-    on_task_done=None,
-) -> None:
-    """Record one finished task in the suite registry + progress hook."""
-    if suite_registry is not None:
-        suite_registry.counter(
-            "suite_tasks_total",
-            "Suite tasks by outcome and executor",
-            ("outcome", "executor"),
-        ).inc(outcome=record.outcome, executor=record.executor)
-        if record.retries:
-            suite_registry.counter(
-                "suite_retries_total",
-                "Task retries (second submissions)",
-                ("policy",),
-            ).inc(record.retries, policy=record.policy)
-        if waited is not None:
-            suite_registry.histogram(
-                "suite_task_wait_seconds",
-                "Parent wall time waiting on one task's result",
-                ("executor",),
-                buckets=_WAIT_BUCKETS,
-            ).observe(waited, executor=record.executor)
-    if on_task_done is not None:
-        on_task_done(record)
+@functools.lru_cache(maxsize=1)
+def _store_context(store, days: int, scale: float, seed: int):
+    """The experiment context of a segment store (once per process)."""
+    from repro.sim.experiment import context_for_trace
+
+    return context_for_trace(store.load_all(), days=days, scale=scale, seed=seed)
 
 
-def _dedupe(names: Sequence[str]) -> List[str]:
-    """Unique names, first-occurrence order (duplicate work costs the
-    same result twice under dict keying — run each config once)."""
-    return list(dict.fromkeys(names))
-
-
-def _run_serial_task(
-    name: str,
-    ctx,
-    track_minutes: bool,
-    fast_path: bool,
-    executor: str,
-    attempts: int,
-    records: Dict[str, TaskRecord],
-    results: Dict[str, SimulationResult],
-    failures: Dict[str, PolicyFailure],
-    fault_plan=None,
-    epoch_seconds=None,
-    checkpoint_dir=None,
-    checkpoint_every=None,
-    collect_metrics: bool = False,
-    suite_registry=None,
-    on_task_done=None,
-    progress_every=None,
-    progress_hook=None,
-) -> None:
-    """Run one task in-process, recording outcome like a pool task."""
+def _run_policy_task(
+    context_args: tuple, checkpoint_dir, run_kwargs: dict, name: str, ctx=None
+) -> SimulationResult:
+    """Suite worker: run policy ``name`` over ``ctx`` (in-process) or
+    over the context rebuilt from the installed segment store."""
     from repro.sim.experiment import run_policy
 
-    # Same per-task warn-once scope as worker execution.
-    _engine._reset_fallback_warnings()
-    plan_fp = fault_plan.fingerprint() if fault_plan is not None else None
-    meta = _checkpoint_meta(checkpoint_dir, name, checkpoint_every)
-    snapshot = None
-    started = time.perf_counter()
-    try:
-        _maybe_inject_fault(name, in_worker=False)
-        if collect_metrics:
-            from repro.obs.runtime import scoped_registry
-
-            with scoped_registry() as obs_context:
-                result = run_policy(
-                    name, ctx, track_minutes=track_minutes,
-                    fast_path=fast_path, fault_plan=fault_plan,
-                    epoch_seconds=epoch_seconds,
-                    checkpoint_path=meta["path"] if meta else None,
-                    checkpoint_every=checkpoint_every,
-                    progress_every=progress_every,
-                    progress_hook=progress_hook,
-                )
-                snapshot = obs_context.registry.snapshot()
-        else:
-            result = run_policy(
-                name, ctx, track_minutes=track_minutes, fast_path=fast_path,
-                fault_plan=fault_plan, epoch_seconds=epoch_seconds,
-                checkpoint_path=meta["path"] if meta else None,
-                checkpoint_every=checkpoint_every,
-                progress_every=progress_every,
-                progress_hook=progress_hook,
-            )
-    except Exception as exc:
-        wall = time.perf_counter() - started
-        records[name] = TaskRecord(
-            policy=name,
-            outcome="failed",
-            engine=None,
-            wall_seconds=wall,
-            retries=attempts - 1,
-            worker_pid=os.getpid(),
-            executor=executor,
-            error=f"{type(exc).__name__}: {exc}",
-            fault_plan=plan_fp,
-            checkpoint=meta,
-        )
-        failures[name] = PolicyFailure(
-            policy=name,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            retries=attempts - 1,
-        )
-    else:
-        wall = time.perf_counter() - started
-        results[name] = result
-        records[name] = TaskRecord(
-            policy=name,
-            outcome="ok",
-            engine=result.engine,
-            wall_seconds=wall,
-            retries=attempts - 1,
-            worker_pid=os.getpid(),
-            executor=executor,
-            fault_plan=plan_fp,
-            checkpoint=meta,
-            metrics=snapshot.to_jsonable() if snapshot is not None else None,
-        )
-        if snapshot is not None and suite_registry is not None:
-            suite_registry.merge_snapshot(snapshot)
-    _note_task(
-        suite_registry,
-        records[name],
-        waited=records[name].wall_seconds,
-        on_task_done=on_task_done,
+    if ctx is None:
+        ctx = _store_context(worker_store(), *context_args)
+    meta = _checkpoint_meta(checkpoint_dir, name, run_kwargs["checkpoint_every"])
+    return run_policy(
+        name, ctx, checkpoint_path=meta["path"] if meta else None, **run_kwargs
     )
-
-
-def _finish_suite_metrics(suite_registry):
-    """Snapshot the suite registry and fold it into the global one."""
-    if suite_registry is None:
-        return None
-    snapshot = suite_registry.snapshot()
-    from repro.obs import runtime as obs_runtime
-
-    parent = obs_runtime.get_registry()
-    if parent is not None:
-        parent.merge_snapshot(snapshot)
-    return snapshot
-
-
-def run_suite_serial(
-    ctx,
-    names: Sequence[str],
-    track_minutes: bool = True,
-    fast_path: bool = False,
-    fault_plan=None,
-    epoch_seconds=None,
-    checkpoint_dir=None,
-    checkpoint_every=None,
-    collect_metrics: Optional[bool] = None,
-    on_task_done=None,
-    progress_every=None,
-    progress_hook=None,
-) -> SuiteRun:
-    """In-process reference execution of a policy suite.
-
-    Same partial-result semantics and manifest as
-    :func:`run_suite_parallel` (executor ``"serial"``, no retries), so
-    callers can treat ``jobs=1`` and ``jobs=N`` runs uniformly.
-    ``collect_metrics`` / ``on_task_done`` also behave identically.
-    ``progress_every`` / ``progress_hook`` (serial-only: hooks cannot
-    cross the process boundary) forward to each run's engine loop.
-    """
-    started = time.perf_counter()
-    requested = list(names)
-    unique = _dedupe(requested)
-    collect = _resolve_collect_metrics(collect_metrics)
-    suite_registry = _suite_observer(collect)
-    records: Dict[str, TaskRecord] = {}
-    results: Dict[str, SimulationResult] = {}
-    failures: Dict[str, PolicyFailure] = {}
-    for name in unique:
-        _run_serial_task(
-            name, ctx, track_minutes, fast_path,
-            executor="serial", attempts=1,
-            records=records, results=results, failures=failures,
-            fault_plan=fault_plan, epoch_seconds=epoch_seconds,
-            checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-            collect_metrics=collect, suite_registry=suite_registry,
-            on_task_done=on_task_done,
-            progress_every=progress_every, progress_hook=progress_hook,
-        )
-    snapshot = _finish_suite_metrics(suite_registry)
-    manifest = _build_manifest(
-        requested, unique, records,
-        jobs=1, track_minutes=track_minutes, fast_path=fast_path,
-        task_timeout=None, pool_broken=False,
-        wall_seconds=time.perf_counter() - started,
-        suite_metrics=snapshot.to_jsonable() if snapshot is not None else None,
-    )
-    ordered = OrderedDict((n, results[n]) for n in unique if n in results)
-    return SuiteRun(ordered, failures, manifest, metrics=snapshot)
 
 
 def run_suite_parallel(
@@ -618,271 +588,99 @@ def run_suite_parallel(
     checkpoint_every=None,
     collect_metrics: Optional[bool] = None,
     on_task_done=None,
+    progress_every=None,
+    progress_hook=None,
 ) -> SuiteRun:
-    """Run the named policy configurations across worker processes.
+    """Run the named policy configurations, fanned across processes.
 
-    Args:
-        ctx: the parent's :class:`ExperimentContext`; only its columnar
-            trace and scalar parameters cross the process boundary.
-        names: policy configuration keys (see
-            :func:`repro.sim.experiment.build_policy`).  Duplicates are
-            deduplicated up front (first-occurrence order); an empty
-            sequence returns an empty :class:`SuiteRun` without
-            spinning up a pool.
-        track_minutes: forwarded to every run.
-        fast_path: forwarded to every run (defaults on — the whole
-            point of fanning out is throughput).
-        jobs: worker processes; ``None`` uses :func:`default_jobs`
-            (affinity-aware core count).
-        task_timeout: seconds to wait for one task's result before
-            retrying it (and, on a second timeout, recording a
-            ``"timeout"`` failure).  ``None`` waits forever.
-        fault_plan: a :class:`~repro.faults.plan.FaultPlan` applied to
-            every run (picklable; its fingerprint is recorded per task).
-        checkpoint_dir: when set, each task writes crash-consistent
-            checkpoints to ``<dir>/<policy>.ckpt`` (metadata recorded
-            per task in the manifest).
-        checkpoint_every: requests between checkpoints (engine default
-            when None).
-        collect_metrics: gather per-task metrics snapshots (each task
-            runs under a fresh scoped registry, snapshots ship back and
-            merge) and emit a v3 manifest.  ``None`` (default) follows
-            the process-wide observability switch, so runs with
-            observability off stay byte-identical to v2.
-        on_task_done: optional callable receiving each finished task's
-            :class:`TaskRecord` as it completes (CLI progress).
+    ``ctx`` is the parent's :class:`ExperimentContext`; pool workers
+    get its columnar trace as a one-segment store, ``jobs=1`` runs
+    in-process over ``ctx`` itself (executor ``"serial"``), and
+    ``jobs=None`` uses :func:`default_jobs`.  ``names`` are policy
+    configuration keys (see :func:`repro.sim.experiment.build_policy`),
+    deduplicated in first-occurrence order.
 
-    Returns a :class:`SuiteRun`: a mapping of successful results in
-    ``names`` order, plus :attr:`~SuiteRun.failures` and the run
-    :attr:`~SuiteRun.manifest`.  Worker death, task exceptions, and
+    ``track_minutes``, ``fast_path``, ``fault_plan`` (its fingerprint is
+    recorded per task), ``epoch_seconds`` and ``checkpoint_every`` are
+    forwarded to every run; ``checkpoint_dir`` makes each task write
+    crash-consistent checkpoints to ``<dir>/<policy>.ckpt``.
+    ``task_timeout`` bounds the wait for one pool task's result (one retry,
+    then a ``"timeout"`` failure record).  ``collect_metrics`` gathers
+    per-task metrics snapshots and emits a v3 manifest (``None``
+    follows the process-wide observability switch, so runs with it off
+    stay byte-identical to v2).  ``on_task_done`` receives each
+    finished :class:`TaskRecord` (CLI progress); ``progress_every`` /
+    ``progress_hook`` reach the engine loop only when ``jobs=1``.
+
+    Returns a :class:`SuiteRun`.  Worker death, task exceptions, and
     timeouts degrade (retry once, then serial fallback / failure
     records) instead of discarding completed results.
     """
     started = time.perf_counter()
-    requested = list(names)
-    unique = _dedupe(requested)
     if jobs is None:
         jobs = default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    collect = _resolve_collect_metrics(collect_metrics)
-    suite_registry = _suite_observer(collect)
-    if not unique:
-        snapshot = _finish_suite_metrics(suite_registry)
-        manifest = _build_manifest(
-            requested, unique, {}, jobs=jobs,
-            track_minutes=track_minutes, fast_path=fast_path,
-            task_timeout=task_timeout, pool_broken=False,
-            wall_seconds=time.perf_counter() - started,
-            suite_metrics=(
-                snapshot.to_jsonable() if snapshot is not None else None
-            ),
-        )
-        return SuiteRun(OrderedDict(), {}, manifest, metrics=snapshot)
-
-    records: Dict[str, TaskRecord] = {}
-    results: Dict[str, SimulationResult] = {}
-    failures: Dict[str, PolicyFailure] = {}
-    attempts: Dict[str, int] = {name: 0 for name in unique}
-    serial_queue: List[str] = []
-    pool_broken = False
-    timed_out = False
-    plan_fp = fault_plan.fingerprint() if fault_plan is not None else None
-
-    with tempfile.TemporaryDirectory(prefix="sievestore-suite-") as tmpdir:
-        trace_path = os.path.join(tmpdir, "trace.npz")
-        ctx.columnar_trace().save_npz(trace_path)
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(unique)),
-            initializer=_init_worker,
-            initargs=(trace_path, ctx.days, ctx.scale, ctx.seed),
-        )
-        try:
-            futures = {}
-            try:
-                for name in unique:
-                    futures[name] = pool.submit(
-                        _run_one, name, track_minutes, fast_path,
-                        fault_plan, epoch_seconds,
-                        checkpoint_dir, checkpoint_every, collect,
-                    )
-                    attempts[name] += 1
-            except BrokenProcessPool:
-                pool_broken = True
-
-            def resubmit(name: str):
-                """One bounded retry through the pool; None if spent/broken."""
-                nonlocal pool_broken
-                if pool_broken or attempts[name] >= MAX_ATTEMPTS:
-                    return None
-                try:
-                    future = pool.submit(
-                        _run_one, name, track_minutes, fast_path,
-                        fault_plan, epoch_seconds,
-                        checkpoint_dir, checkpoint_every, collect,
-                    )
-                except BrokenProcessPool:
-                    pool_broken = True
-                    return None
-                attempts[name] += 1
-                return future
-
-            for name in unique:
-                if pool_broken:
-                    serial_queue.append(name)
-                    continue
-                future = futures.get(name)
-                if future is None:
-                    serial_queue.append(name)
-                    continue
-                collect_started = time.perf_counter()
-                while True:
-                    try:
-                        _rname, pid, wall, result, snapshot = future.result(
-                            timeout=task_timeout
-                        )
-                    except _FuturesTimeout:
-                        timed_out = True
-                        future.cancel()
-                        retry = resubmit(name)
-                        if retry is not None:
-                            future = retry
-                            collect_started = time.perf_counter()
-                            continue
-                        if pool_broken and attempts[name] < MAX_ATTEMPTS:
-                            serial_queue.append(name)
-                            break
-                        waited = time.perf_counter() - collect_started
-                        records[name] = TaskRecord(
-                            policy=name, outcome="timeout", engine=None,
-                            wall_seconds=waited,
-                            retries=attempts[name] - 1, worker_pid=None,
-                            executor="pool",
-                            error=f"task exceeded {task_timeout}s timeout",
-                            fault_plan=plan_fp,
-                            checkpoint=_checkpoint_meta(
-                                checkpoint_dir, name, checkpoint_every
-                            ),
-                        )
-                        failures[name] = PolicyFailure(
-                            policy=name, error_type="TimeoutError",
-                            message=f"task exceeded {task_timeout}s timeout",
-                            retries=attempts[name] - 1,
-                        )
-                        _note_task(
-                            suite_registry, records[name],
-                            waited=waited, on_task_done=on_task_done,
-                        )
-                        break
-                    except BrokenProcessPool:
-                        # The worker died (or the pool collapsed around
-                        # this future); the task's retry — and every
-                        # later task — runs serially in-process.
-                        pool_broken = True
-                        serial_queue.append(name)
-                        break
-                    except Exception as exc:
-                        retry = resubmit(name)
-                        if retry is not None:
-                            future = retry
-                            collect_started = time.perf_counter()
-                            continue
-                        if pool_broken and attempts[name] < MAX_ATTEMPTS:
-                            serial_queue.append(name)
-                            break
-                        waited = time.perf_counter() - collect_started
-                        records[name] = TaskRecord(
-                            policy=name, outcome="failed", engine=None,
-                            wall_seconds=waited,
-                            retries=attempts[name] - 1, worker_pid=None,
-                            executor="pool",
-                            error=f"{type(exc).__name__}: {exc}",
-                            fault_plan=plan_fp,
-                            checkpoint=_checkpoint_meta(
-                                checkpoint_dir, name, checkpoint_every
-                            ),
-                        )
-                        failures[name] = PolicyFailure(
-                            policy=name, error_type=type(exc).__name__,
-                            message=str(exc), retries=attempts[name] - 1,
-                        )
-                        _note_task(
-                            suite_registry, records[name],
-                            waited=waited, on_task_done=on_task_done,
-                        )
-                        break
-                    else:
-                        results[name] = result
-                        records[name] = TaskRecord(
-                            policy=name, outcome="ok", engine=result.engine,
-                            wall_seconds=wall, retries=attempts[name] - 1,
-                            worker_pid=pid, executor="pool",
-                            fault_plan=plan_fp,
-                            checkpoint=_checkpoint_meta(
-                                checkpoint_dir, name, checkpoint_every
-                            ),
-                            metrics=(
-                                snapshot.to_jsonable()
-                                if snapshot is not None
-                                else None
-                            ),
-                        )
-                        if snapshot is not None and suite_registry is not None:
-                            suite_registry.merge_snapshot(snapshot)
-                        _note_task(
-                            suite_registry, records[name],
-                            waited=time.perf_counter() - collect_started,
-                            on_task_done=on_task_done,
-                        )
-                        break
-        finally:
-            # A timed-out task is still running in its worker; don't
-            # block shutdown on it (the zombie exits when it finishes).
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
-
-    if serial_queue:
-        warnings.warn(
-            f"worker pool broke; running {len(serial_queue)} remaining "
-            f"polic{'y' if len(serial_queue) == 1 else 'ies'} serially "
-            f"in-process: {', '.join(serial_queue)}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        for name in serial_queue:
-            attempts[name] += 1
-            _run_serial_task(
-                name, ctx, track_minutes, fast_path,
-                executor="serial-fallback", attempts=attempts[name],
-                records=records, results=results, failures=failures,
-                fault_plan=fault_plan, epoch_seconds=epoch_seconds,
-                checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-                collect_metrics=collect, suite_registry=suite_registry,
-                on_task_done=on_task_done,
-            )
-
-    snapshot = _finish_suite_metrics(suite_registry)
-    manifest = _build_manifest(
-        requested, unique, records, jobs=jobs,
+    requested = list(names)
+    run_kwargs = dict(
         track_minutes=track_minutes, fast_path=fast_path,
-        task_timeout=task_timeout, pool_broken=pool_broken,
-        wall_seconds=time.perf_counter() - started,
-        suite_metrics=snapshot.to_jsonable() if snapshot is not None else None,
+        fault_plan=fault_plan, epoch_seconds=epoch_seconds,
+        checkpoint_every=checkpoint_every,
     )
-    ordered = OrderedDict((n, results[n]) for n in unique if n in results)
-    return SuiteRun(ordered, failures, manifest, metrics=snapshot)
+    plan_fp = fault_plan.fingerprint() if fault_plan is not None else None
+    options = dict(
+        collect_metrics=collect_metrics,
+        on_done=on_task_done,
+        record_fields=lambda name: {
+            "fault_plan": plan_fp,
+            "checkpoint": _checkpoint_meta(checkpoint_dir, name, checkpoint_every),
+        },
+    )
+    if jobs == 1 or not requested:
+        hooks = dict(progress_every=progress_every, progress_hook=progress_hook)
+        worker = functools.partial(
+            _run_policy_task, (), checkpoint_dir, {**run_kwargs, **hooks}, ctx=ctx
+        )
+        run = run_tasks(requested, worker, jobs=1, **options)
+    else:
+        from repro.traces.segments import segment_columnar
+
+        columns = ctx.columnar_trace()
+        with tempfile.TemporaryDirectory(prefix="sievestore-suite-") as tmpdir:
+            segment_columnar(columns, tmpdir, rows_per_segment=max(1, len(columns)))
+            try:
+                worker = functools.partial(
+                    _run_policy_task, (ctx.days, ctx.scale, ctx.seed),
+                    checkpoint_dir, run_kwargs,
+                )
+                run = run_tasks(
+                    requested, worker, jobs=jobs, timeout=task_timeout,
+                    store_dir=tmpdir, **options,
+                )
+            finally:
+                _store_context.cache_clear()
+    # In-process tasks (jobs=1) run unbounded, so record no timeout.
+    manifest = _build_manifest(
+        requested, list(run.outcomes), run, jobs=jobs, track_minutes=track_minutes,
+        fast_path=fast_path, task_timeout=task_timeout if jobs > 1 else None,
+        wall_seconds=time.perf_counter() - started,
+    )
+    return SuiteRun(run.values(), run.failures(), manifest, metrics=run.metrics)
+
+
+def run_suite_serial(ctx, names, track_minutes=True, fast_path=False, **kwargs) -> SuiteRun:
+    """In-process reference execution of a policy suite:
+    :func:`run_suite_parallel` with ``jobs=1`` (same worker, retry
+    budget, partial-result semantics and manifest)."""
+    return run_suite_parallel(
+        ctx, names, track_minutes=track_minutes, fast_path=fast_path,
+        jobs=1, **kwargs,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Shard-level replay: one policy, the trace partitioned across workers.
 # ---------------------------------------------------------------------------
-
-#: Bump on sharded-replay manifest layout changes; consumers refuse
-#: unknown versions.
-SHARD_MANIFEST_VERSION = 1
-
-#: Per-process segment store, installed by the shard-pool initializer.
-#: Workers open segments by path — the parent never pickles trace rows.
-_SHARD_STORE = None
 
 
 def shard_task_names(shards: int) -> List[str]:
@@ -895,60 +693,41 @@ def shard_task_names(shards: int) -> List[str]:
     return [f"shard-{index}" for index in range(shards)]
 
 
-def _init_shard_worker(store_dir: str) -> None:
-    from repro.traces.segments import SegmentStore
+class _ShardResult(NamedTuple):
+    """What a shard task ships home: per-shard cache/policy objects
+    never cross the process boundary."""
 
-    global _SHARD_STORE
-    # Set once per worker process by the pool initializer; workers only
-    # ever read it.  This is the sanctioned worker-global idiom.
-    _SHARD_STORE = SegmentStore.open(store_dir)  # sievelint: disable=SVL008 -- initializer-set worker global, read-only afterwards
+    stats: object
+    engine: str
 
 
 def _replay_shard(
-    store,
-    shard: int,
-    shards: int,
-    policy_name: str,
-    days: int,
-    scale: float,
-    seed: int,
-    track_minutes: bool,
-    fast_path: bool,
-    chunk_rows: Optional[int],
-    epoch_seconds: Optional[float],
-    checkpoint_path: Optional[str],
-    checkpoint_every: Optional[int],
-    progress_every: Optional[int] = None,
-    progress_hook=None,
-) -> SimulationResult:
-    """Replay one shard of the ensemble, resuming from its checkpoint.
+    name: str, *, shards: int, policy_name: str, days: int, scale: float,
+    seed: int, chunk_rows, checkpoint_dir, checkpoint_every, **sim_kwargs
+) -> _ShardResult:
+    """Shard worker: replay one shard of the installed segment store.
 
-    Each shard is a closed sub-ensemble (every block of a server lives
-    on exactly one shard), provisioned at ``scale / shards`` — the same
-    per-server cache share as the unsharded configuration, so
-    ``shards=1`` reproduces the unsharded run bit for bit.  When the
-    shard's checkpoint file already exists — a retried task, or a whole
-    coordinator rerun after a crash — the run resumes from it instead
-    of starting over; an unusable checkpoint falls back to a fresh run
-    with a warning rather than failing the shard.
+    When the shard's checkpoint file already exists — a retried task,
+    or a whole coordinator rerun after a crash — the run resumes from
+    it; an unusable checkpoint restarts the shard with a warning.
     """
     from repro.sim.experiment import ExperimentContext, build_policy
     from repro.sim.serialize import CheckpointError
 
-    view = store.shard(shard, shards)
+    shard = int(name.rsplit("-", 1)[1])
+    meta = _checkpoint_meta(checkpoint_dir, name, checkpoint_every)
+    checkpoint_path = meta["path"] if meta else None
+    view = worker_store().shard(shard, shards)
     if checkpoint_path is not None and Path(checkpoint_path).exists():
         try:
-            return _engine.resume_simulation(
-                checkpoint_path,
-                view,
-                checkpoint_path=checkpoint_path,
+            result = _engine.resume_simulation(
+                checkpoint_path, view, checkpoint_path=checkpoint_path,
                 chunk_rows=chunk_rows,
-                progress_every=progress_every,
-                progress_hook=progress_hook,
             )
+            return _ShardResult(result.stats, result.engine)
         except CheckpointError as exc:
             warnings.warn(
-                f"shard-{shard} checkpoint {checkpoint_path} is unusable "
+                f"{name} checkpoint {checkpoint_path} is unusable "
                 f"({exc}); restarting the shard from the beginning",
                 RuntimeWarning,
                 stacklevel=2,
@@ -961,197 +740,34 @@ def _replay_shard(
         seed=seed,
     )
     policy, capacity = build_policy(policy_name, ctx)
-    extra = {}
-    if epoch_seconds is not None:
-        extra["epoch_seconds"] = epoch_seconds
-    return _engine.simulate(
+    result = _engine.simulate(
         view,
         policy,
         capacity_blocks=capacity,
         days=days,
-        track_minutes=track_minutes,
-        fast_path=fast_path,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
         label=policy_name,
         chunk_rows=chunk_rows,
-        progress_every=progress_every,
-        progress_hook=progress_hook,
-        **extra,
+        **sim_kwargs,
     )
+    return _ShardResult(result.stats, result.engine)
 
 
-def _run_one_shard(
-    shard: int,
-    shards: int,
-    policy_name: str,
-    days: int,
-    scale: float,
-    seed: int,
-    track_minutes: bool,
-    fast_path: bool,
-    chunk_rows: Optional[int],
-    epoch_seconds: Optional[float],
-    checkpoint_dir,
-    checkpoint_every: Optional[int],
-    collect_metrics: bool,
-):
-    """Pool task: replay one shard against the worker's open store.
-
-    Ships back only the per-shard :class:`CacheStats` and engine name —
-    the merged statistics are the product; per-shard cache/policy
-    objects never cross the process boundary.
-    """
-    assert _SHARD_STORE is not None, "shard worker initializer did not run"
-    name = f"shard-{shard}"
-    _engine._reset_fallback_warnings()
-    _maybe_inject_fault(name, in_worker=True)
-    meta = _checkpoint_meta(checkpoint_dir, name, checkpoint_every)
-    snapshot = None
-    started = time.perf_counter()
-    if collect_metrics:
-        from repro.obs.runtime import scoped_registry
-
-        with scoped_registry() as obs_context:
-            result = _replay_shard(
-                _SHARD_STORE, shard, shards, policy_name, days, scale, seed,
-                track_minutes, fast_path, chunk_rows, epoch_seconds,
-                meta["path"] if meta else None, checkpoint_every,
-            )
-            snapshot = obs_context.registry.snapshot()
-    else:
-        result = _replay_shard(
-            _SHARD_STORE, shard, shards, policy_name, days, scale, seed,
-            track_minutes, fast_path, chunk_rows, epoch_seconds,
-            meta["path"] if meta else None, checkpoint_every,
-        )
-    wall = time.perf_counter() - started
-    return name, os.getpid(), wall, result.stats, result.engine, snapshot
-
-
-def _run_shard_serial(
-    store,
-    shard: int,
-    shards: int,
-    policy_name: str,
-    days: int,
-    scale: float,
-    seed: int,
-    track_minutes: bool,
-    fast_path: bool,
-    chunk_rows: Optional[int],
-    epoch_seconds: Optional[float],
-    checkpoint_dir,
-    checkpoint_every: Optional[int],
-    executor: str,
-    attempts: int,
-    records: Dict[str, TaskRecord],
-    shard_stats: Dict[str, "CacheStats"],
-    failures: Dict[str, PolicyFailure],
-    collect_metrics: bool = False,
-    suite_registry=None,
-    on_task_done=None,
-    progress_every=None,
-    progress_hook=None,
-) -> None:
-    """Run one shard in-process, recording outcome like a pool task."""
-    name = f"shard-{shard}"
-    _engine._reset_fallback_warnings()
-    meta = _checkpoint_meta(checkpoint_dir, name, checkpoint_every)
-    snapshot = None
-    started = time.perf_counter()
-    try:
-        _maybe_inject_fault(name, in_worker=False)
-        if collect_metrics:
-            from repro.obs.runtime import scoped_registry
-
-            with scoped_registry() as obs_context:
-                result = _replay_shard(
-                    store, shard, shards, policy_name, days, scale, seed,
-                    track_minutes, fast_path, chunk_rows, epoch_seconds,
-                    meta["path"] if meta else None, checkpoint_every,
-                    progress_every=progress_every, progress_hook=progress_hook,
-                )
-                snapshot = obs_context.registry.snapshot()
-        else:
-            result = _replay_shard(
-                store, shard, shards, policy_name, days, scale, seed,
-                track_minutes, fast_path, chunk_rows, epoch_seconds,
-                meta["path"] if meta else None, checkpoint_every,
-                progress_every=progress_every, progress_hook=progress_hook,
-            )
-    except Exception as exc:
-        wall = time.perf_counter() - started
-        records[name] = TaskRecord(
-            policy=name,
-            outcome="failed",
-            engine=None,
-            wall_seconds=wall,
-            retries=attempts - 1,
-            worker_pid=os.getpid(),
-            executor=executor,
-            error=f"{type(exc).__name__}: {exc}",
-            checkpoint=meta,
-        )
-        failures[name] = PolicyFailure(
-            policy=name,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            retries=attempts - 1,
-        )
-    else:
-        wall = time.perf_counter() - started
-        shard_stats[name] = result.stats
-        records[name] = TaskRecord(
-            policy=name,
-            outcome="ok",
-            engine=result.engine,
-            wall_seconds=wall,
-            retries=attempts - 1,
-            worker_pid=os.getpid(),
-            executor=executor,
-            checkpoint=meta,
-            metrics=snapshot.to_jsonable() if snapshot is not None else None,
-        )
-        if snapshot is not None and suite_registry is not None:
-            suite_registry.merge_snapshot(snapshot)
-    _note_task(
-        suite_registry,
-        records[name],
-        waited=records[name].wall_seconds,
-        on_task_done=on_task_done,
-    )
-
-
+@dataclass
 class ShardedReplayRun:
-    """Result of one sharded replay: merged statistics plus provenance.
+    """Result of one sharded replay: merged statistics plus provenance."""
 
-    * :attr:`stats` — the ensemble-level :class:`CacheStats`, merged
-      from every shard via :meth:`CacheStats.merged`; ``None`` when any
-      shard failed (partial statistics would be silently wrong).
-    * :attr:`shard_stats` — per-shard statistics in shard order
-      (successful shards only), for per-partition inspection.
-    * :attr:`failures` — task-name-keyed :class:`PolicyFailure` records.
-    * :attr:`manifest` — JSON-serializable run manifest (schema
-      :data:`SHARD_MANIFEST_VERSION`).
-    * :attr:`metrics` — merged metrics snapshot when collection was on.
-    """
-
-    def __init__(
-        self,
-        policy_name: str,
-        stats,
-        shard_stats: "OrderedDict[str, CacheStats]",
-        failures: Dict[str, PolicyFailure],
-        manifest: dict,
-        metrics=None,
-    ):
-        self.policy_name = policy_name
-        self.stats = stats
-        self.shard_stats = shard_stats
-        self.failures = failures
-        self.manifest = manifest
-        self.metrics = metrics
+    policy_name: str
+    #: the ensemble-level statistics merged from every shard; None when
+    #: any shard failed (partial statistics would be silently wrong).
+    stats: object
+    #: per-shard statistics in shard order (successful shards only).
+    shard_stats: "OrderedDict[str, object]"
+    failures: Dict[str, PolicyFailure]
+    #: JSON-serializable run manifest (schema SHARD_MANIFEST_VERSION).
+    manifest: dict
+    metrics: object = None
 
     @property
     def ok(self) -> bool:
@@ -1160,22 +776,20 @@ class ShardedReplayRun:
 
     def save_manifest(self, path: Union[str, Path]) -> None:
         """Write the run manifest as indented JSON (atomically)."""
-        _write_json_atomic(path, self.manifest)
+        atomic_write_json(path, self.manifest)
 
 
 def _build_shard_manifest(
     policy_name: str,
     shards: int,
     names: Sequence[str],
-    records: Dict[str, TaskRecord],
+    run: TaskRun,
     jobs: int,
     track_minutes: bool,
     fast_path: bool,
     chunk_rows: Optional[int],
     task_timeout: Optional[float],
-    pool_broken: bool,
     wall_seconds: float,
-    suite_metrics: Optional[dict] = None,
 ) -> dict:
     manifest = {
         "schema": SHARD_MANIFEST_VERSION,
@@ -1188,12 +802,12 @@ def _build_shard_manifest(
         "fast_path": fast_path,
         "chunk_rows": chunk_rows,
         "task_timeout": task_timeout,
-        "pool_broken": pool_broken,
+        "pool_broken": run.pool_broken,
         "wall_seconds": round(wall_seconds, 6),
-        "tasks": [records[name].to_dict() for name in names if name in records],
+        "tasks": run.task_rows(),
     }
-    if suite_metrics is not None:
-        manifest["metrics"] = suite_metrics
+    if run.metrics is not None:
+        manifest["metrics"] = run.metrics.to_jsonable()
     return manifest
 
 
@@ -1217,31 +831,20 @@ def run_sharded_replay(
 ) -> ShardedReplayRun:
     """Replay **one** policy with the ensemble partitioned across workers.
 
-    The dual of :func:`run_suite_parallel`: instead of many policies
-    over one shared trace, one policy over many disjoint shards of the
-    trace.  The coordinator slices the segment store by server id
+    The dual of :func:`run_suite_parallel`: one policy over disjoint
+    server shards of the segment store
     (:func:`repro.traces.segments.shard_of_servers` — every block of a
     server lands on exactly one shard, so shards are closed
-    subsystems), fans the shards across worker processes that open the
-    segment files by path (the parent never pickles a single trace
-    row), and merges the per-shard :class:`CacheStats` with
-    :meth:`CacheStats.merged`.
+    subsystems).  Workers open the segment files by path, and the
+    per-shard :class:`CacheStats` merge with :meth:`CacheStats.merged`.
+    Each shard is an appliance provisioned at ``scale / shards``, so
+    ``shards=1`` is bit-identical to an unsharded
+    :func:`~repro.sim.engine.simulate` run.  ``jobs=1`` runs the same
+    shards in-process with byte-identical merged statistics.
 
-    Each shard simulates an independent appliance provisioned at
-    ``scale / shards``, so ``shards=1`` is bit-identical to an
-    unsharded :func:`~repro.sim.engine.simulate` run and a sharded run
-    models a partitioned ensemble of ``shards`` smaller caches.
-    ``jobs=1`` executes the same shards serially in-process —
-    byte-identical merged statistics, no pool — which is what CI
-    compares fault-injected pool runs against.
-
-    Failure handling matches the policy suite: one bounded retry per
-    shard (a retried shard **resumes from its checkpoint** when
-    ``checkpoint_dir`` is set, re-replaying only rows past the last
-    checkpoint), timeout records after ``task_timeout``, and
-    ``BrokenProcessPool`` degrades to in-process serial fallback for
-    the not-yet-collected shards.  ``SIEVESTORE_FAULT_INJECT`` keys on
-    task names ``shard-0`` … ``shard-N-1``.
+    Failure handling is :func:`run_tasks`'; a retried shard **resumes
+    from its checkpoint** when ``checkpoint_dir`` is set.
+    ``SIEVESTORE_FAULT_INJECT`` keys on :func:`shard_task_names`.
     """
     from repro.cache.stats import CacheStats
     from repro.traces.segments import SegmentStore
@@ -1253,213 +856,43 @@ def run_sharded_replay(
         store = SegmentStore.open(store)
     if jobs is None:
         jobs = default_jobs()
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
     names = shard_task_names(shards)
-    collect = _resolve_collect_metrics(collect_metrics)
-    suite_registry = _suite_observer(collect)
-
-    records: Dict[str, TaskRecord] = {}
-    shard_stats: Dict[str, CacheStats] = {}
-    failures: Dict[str, PolicyFailure] = {}
-    attempts: Dict[str, int] = {name: 0 for name in names}
-    serial_queue: List[int] = []
-    pool_broken = False
-    timed_out = False
-
-    def shard_args(shard: int) -> tuple:
-        return (
-            shard, shards, policy_name, days, scale, seed,
-            track_minutes, fast_path, chunk_rows, epoch_seconds,
-            checkpoint_dir, checkpoint_every, collect,
-        )
-
-    if jobs == 1:
-        for shard in range(shards):
-            attempts[names[shard]] += 1
-            _run_shard_serial(
-                store, shard, shards, policy_name, days, scale, seed,
-                track_minutes, fast_path, chunk_rows, epoch_seconds,
-                checkpoint_dir, checkpoint_every,
-                executor="serial", attempts=attempts[names[shard]],
-                records=records, shard_stats=shard_stats, failures=failures,
-                collect_metrics=collect, suite_registry=suite_registry,
-                on_task_done=on_task_done,
-            )
-    else:
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, shards),
-            initializer=_init_shard_worker,
-            initargs=(str(store.directory),),
-        )
-        try:
-            futures = {}
-            try:
-                for shard in range(shards):
-                    futures[names[shard]] = pool.submit(
-                        _run_one_shard, *shard_args(shard)
-                    )
-                    attempts[names[shard]] += 1
-            except BrokenProcessPool:
-                pool_broken = True
-
-            def resubmit(shard: int):
-                """One bounded retry through the pool; None if spent/broken."""
-                nonlocal pool_broken
-                name = names[shard]
-                if pool_broken or attempts[name] >= MAX_ATTEMPTS:
-                    return None
-                try:
-                    future = pool.submit(_run_one_shard, *shard_args(shard))
-                except BrokenProcessPool:
-                    pool_broken = True
-                    return None
-                attempts[name] += 1
-                return future
-
-            for shard in range(shards):
-                name = names[shard]
-                if pool_broken:
-                    serial_queue.append(shard)
-                    continue
-                future = futures.get(name)
-                if future is None:
-                    serial_queue.append(shard)
-                    continue
-                collect_started = time.perf_counter()
-                while True:
-                    try:
-                        _rname, pid, wall, stats, engine, snapshot = (
-                            future.result(timeout=task_timeout)
-                        )
-                    except _FuturesTimeout:
-                        timed_out = True
-                        future.cancel()
-                        retry = resubmit(shard)
-                        if retry is not None:
-                            future = retry
-                            collect_started = time.perf_counter()
-                            continue
-                        if pool_broken and attempts[name] < MAX_ATTEMPTS:
-                            serial_queue.append(shard)
-                            break
-                        waited = time.perf_counter() - collect_started
-                        records[name] = TaskRecord(
-                            policy=name, outcome="timeout", engine=None,
-                            wall_seconds=waited,
-                            retries=attempts[name] - 1, worker_pid=None,
-                            executor="pool",
-                            error=f"task exceeded {task_timeout}s timeout",
-                            checkpoint=_checkpoint_meta(
-                                checkpoint_dir, name, checkpoint_every
-                            ),
-                        )
-                        failures[name] = PolicyFailure(
-                            policy=name, error_type="TimeoutError",
-                            message=f"task exceeded {task_timeout}s timeout",
-                            retries=attempts[name] - 1,
-                        )
-                        _note_task(
-                            suite_registry, records[name],
-                            waited=waited, on_task_done=on_task_done,
-                        )
-                        break
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        serial_queue.append(shard)
-                        break
-                    except Exception as exc:
-                        retry = resubmit(shard)
-                        if retry is not None:
-                            future = retry
-                            collect_started = time.perf_counter()
-                            continue
-                        if pool_broken and attempts[name] < MAX_ATTEMPTS:
-                            serial_queue.append(shard)
-                            break
-                        waited = time.perf_counter() - collect_started
-                        records[name] = TaskRecord(
-                            policy=name, outcome="failed", engine=None,
-                            wall_seconds=waited,
-                            retries=attempts[name] - 1, worker_pid=None,
-                            executor="pool",
-                            error=f"{type(exc).__name__}: {exc}",
-                            checkpoint=_checkpoint_meta(
-                                checkpoint_dir, name, checkpoint_every
-                            ),
-                        )
-                        failures[name] = PolicyFailure(
-                            policy=name, error_type=type(exc).__name__,
-                            message=str(exc), retries=attempts[name] - 1,
-                        )
-                        _note_task(
-                            suite_registry, records[name],
-                            waited=waited, on_task_done=on_task_done,
-                        )
-                        break
-                    else:
-                        shard_stats[name] = stats
-                        records[name] = TaskRecord(
-                            policy=name, outcome="ok", engine=engine,
-                            wall_seconds=wall, retries=attempts[name] - 1,
-                            worker_pid=pid, executor="pool",
-                            checkpoint=_checkpoint_meta(
-                                checkpoint_dir, name, checkpoint_every
-                            ),
-                            metrics=(
-                                snapshot.to_jsonable()
-                                if snapshot is not None
-                                else None
-                            ),
-                        )
-                        if snapshot is not None and suite_registry is not None:
-                            suite_registry.merge_snapshot(snapshot)
-                        _note_task(
-                            suite_registry, records[name],
-                            waited=time.perf_counter() - collect_started,
-                            on_task_done=on_task_done,
-                        )
-                        break
-        finally:
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
-
-    if serial_queue:
-        warnings.warn(
-            f"worker pool broke; running {len(serial_queue)} remaining "
-            f"shard{'' if len(serial_queue) == 1 else 's'} serially "
-            f"in-process: {', '.join(names[s] for s in serial_queue)}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        for shard in serial_queue:
-            attempts[names[shard]] += 1
-            _run_shard_serial(
-                store, shard, shards, policy_name, days, scale, seed,
-                track_minutes, fast_path, chunk_rows, epoch_seconds,
-                checkpoint_dir, checkpoint_every,
-                executor="serial-fallback", attempts=attempts[names[shard]],
-                records=records, shard_stats=shard_stats, failures=failures,
-                collect_metrics=collect, suite_registry=suite_registry,
-                on_task_done=on_task_done,
-            )
-
-    snapshot = _finish_suite_metrics(suite_registry)
+    sim_kwargs = dict(track_minutes=track_minutes, fast_path=fast_path)
+    if epoch_seconds is not None:
+        sim_kwargs["epoch_seconds"] = epoch_seconds
+    worker = functools.partial(
+        _replay_shard, shards=shards, policy_name=policy_name, days=days,
+        scale=scale, seed=seed, chunk_rows=chunk_rows,
+        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
+        **sim_kwargs,
+    )
+    run = run_tasks(
+        names,
+        worker,
+        jobs=jobs,
+        timeout=task_timeout,
+        on_done=on_task_done,
+        store_dir=store.directory,
+        collect_metrics=collect_metrics,
+        record_fields=lambda name: {
+            "checkpoint": _checkpoint_meta(checkpoint_dir, name, checkpoint_every)
+        },
+    )
     manifest = _build_shard_manifest(
-        policy_name, shards, names, records, jobs=jobs,
+        policy_name, shards, names, run, jobs=jobs,
         track_minutes=track_minutes, fast_path=fast_path,
         chunk_rows=chunk_rows, task_timeout=task_timeout,
-        pool_broken=pool_broken,
         wall_seconds=time.perf_counter() - started,
-        suite_metrics=snapshot.to_jsonable() if snapshot is not None else None,
     )
-    ordered = OrderedDict(
-        (name, shard_stats[name]) for name in names if name in shard_stats
+    shard_stats = OrderedDict(
+        (name, value.stats) for name, value in run.values().items()
     )
     merged = (
-        CacheStats.merged(list(ordered.values()))
-        if len(ordered) == shards
+        CacheStats.merged(list(shard_stats.values()))
+        if len(shard_stats) == shards
         else None
     )
     return ShardedReplayRun(
-        policy_name, merged, ordered, failures, manifest, metrics=snapshot
+        policy_name, merged, shard_stats, run.failures(), manifest,
+        metrics=run.metrics,
     )

@@ -40,10 +40,11 @@ from repro.staticcheck.findings import Finding, Severity
 from repro.staticcheck.registry import Rule, RuleMeta, register
 
 #: Packages whose files are persisted artifacts (read back by later
-#: runs / other processes).  repro.util.atomic itself and the obs /
+#: runs / other processes, including the CI jobs that parse the CLI's
+#: reports and manifests).  repro.util.atomic itself and the obs /
 #: staticcheck tooling write only derived, regenerable output.
 SCOPED_MODULES = frozenset(
-    {"repro.traces", "repro.sim", "repro.faults", "repro.serve"}
+    {"repro.traces", "repro.sim", "repro.faults", "repro.serve", "repro.cli"}
 )
 
 #: The sanctioned writers; a name bound by ``with <one of these>(...)``

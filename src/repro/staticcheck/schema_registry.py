@@ -229,7 +229,26 @@ SPECS: Tuple[SchemaSpec, ...] = (
         "manifest",
         ("version", "kind", "gate", "clients"),
         "repro.serve.bench",
-        (("MANIFEST_VERSION", 1),),
+        (("MANIFEST_VERSION", 2),),
+    ),
+    _spec(
+        "serve-manifest-client",
+        "repro.serve.bench",
+        "dict",
+        "_client_row",
+        (
+            "client",
+            "outcome",
+            "retries",
+            "error",
+            "requests",
+            "wall_seconds",
+            "worker_pid",
+            "executor",
+            "allocation_writes",
+        ),
+        "repro.serve.bench",
+        (("MANIFEST_VERSION", 2),),
     ),
     _spec(
         "serve-store-meta",

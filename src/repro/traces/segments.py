@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.traces.columnar import NPZ_FORMAT_VERSION, ColumnarTrace
 from repro.util.atomic import atomic_write, atomic_write_path
+from repro.util.hashing import mix64_array
 
 #: Bump when the manifest layout changes; loaders refuse other values.
 SEGMENT_MANIFEST_VERSION = 1
@@ -347,19 +348,15 @@ class SegmentStore(ChunkSource):
 def shard_of_servers(server_ids: np.ndarray, shards: int) -> np.ndarray:
     """Deterministic shard index per server id (vectorized).
 
-    Servers hash to shards via the splitmix64 finalizer (wrapping
-    uint64 arithmetic), so the assignment is a pure function of
-    ``(server_id, shards)`` — independent of segment layout, chunk
-    budget, worker count, and platform — and stays balanced even when
-    server ids are consecutive small integers.
+    Servers hash to shards via the SplitMix64 finalizer
+    (:func:`~repro.util.hashing.mix64_array`), so the assignment is a
+    pure function of ``(server_id, shards)`` — independent of segment
+    layout, chunk budget, worker count, and platform — and stays
+    balanced even when server ids are consecutive small integers.
     """
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
-    z = server_ids.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return (z % np.uint64(shards)).astype(np.int64)
+    return (mix64_array(server_ids) % np.uint64(shards)).astype(np.int64)
 
 
 class ShardView(ChunkSource):

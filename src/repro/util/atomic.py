@@ -20,7 +20,9 @@ Two shapes are provided:
   handle, for writers that produce bytes directly;
 * :func:`atomic_write_path` — a context manager yielding the temp
   *path*, for writers that insist on opening the file themselves
-  (``numpy.savez``); the data fsync happens on a re-opened descriptor.
+  (``numpy.savez``); the data fsync happens on a re-opened descriptor;
+* :func:`atomic_write_json` — the one-call form for indented JSON
+  artifacts (manifests, reports).
 
 On any exception inside the ``with`` block the destination is left
 untouched and the temp file is removed.
@@ -28,6 +30,7 @@ untouched and the temp file is removed.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from contextlib import contextmanager
@@ -104,6 +107,12 @@ def atomic_write_path(path: Union[str, Path]) -> Iterator[Path]:
         _unlink_quietly(tmp_name)
         raise
     fsync_directory(path.parent)
+
+
+def atomic_write_json(path: Union[str, Path], payload: object) -> None:
+    """Publish ``payload`` as indented JSON (plus newline) atomically."""
+    with atomic_write(path) as handle:
+        handle.write((json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
 
 def _unlink_quietly(name: str) -> None:

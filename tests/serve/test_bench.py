@@ -186,3 +186,61 @@ class TestObservability:
             clients=1, options=options, parallel=False,
         )
         assert all(r.metrics is None for r in report.client_reports)
+
+
+def per_client_counts(report):
+    return {
+        r.client: (r.stats.hits, r.stats.misses, r.stats.allocation_writes)
+        for r in report.client_reports
+    }
+
+
+class TestIdempotentClients:
+    def test_pool_crash_survivors_match_a_clean_serial_run(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sim.parallel import FAULT_ENV_VAR
+
+        columns = flash_crowd_trace(n=600)
+        clean = run_serve_bench(
+            columns, tmp_path / "clean-store", tmp_path / "clean-work",
+            clients=3, options=FAST, parallel=False,
+        )
+        monkeypatch.setenv(FAULT_ENV_VAR, "crash:client-1")
+        with pytest.warns(RuntimeWarning, match="worker pool broke"):
+            crashed = run_serve_bench(
+                columns, tmp_path / "store", tmp_path / "work",
+                clients=3, options=FAST, parallel=True,
+            )
+        assert not crashed.ok
+        assert set(crashed.failures) == {"client-1"}
+        expected = per_client_counts(clean)
+        survivors = per_client_counts(crashed)
+        assert set(survivors) == {0, 2}
+        for client in (0, 2):
+            assert survivors[client] == expected[client]
+        rows = {row["client"]: row for row in crashed.manifest()["clients"]}
+        assert rows[1]["executor"] == "serial-fallback"
+        assert rows[1]["outcome"] == "failed"
+        assert rows[1]["retries"] == 1
+        assert "InjectedWorkerFault" in rows[1]["error"]
+        assert rows[1]["allocation_writes"] is None
+        assert rows[0]["outcome"] == rows[2]["outcome"] == "ok"
+
+    def test_rerun_into_the_same_store_matches_the_first_run(self, tmp_path):
+        columns = flash_crowd_trace(n=600)
+        runs = [
+            run_serve_bench(
+                columns, tmp_path / "store", tmp_path / "work",
+                clients=2, options=FAST, parallel=True,
+            )
+            for _ in range(2)
+        ]
+        first, second = runs
+        assert first.allocation_writes > 0
+        assert (second.stats.hits, second.stats.misses) == (
+            first.stats.hits, first.stats.misses,
+        )
+        assert second.allocation_writes == first.allocation_writes
+        assert per_client_counts(second) == per_client_counts(first)
+        assert first.ok and second.ok

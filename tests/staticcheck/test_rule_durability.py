@@ -64,7 +64,7 @@ def test_out_of_scope_module_is_ignored():
         "def save(path):\n"
         "    Path(path).write_text('x')\n"
     )
-    assert _lines(source, module="repro.cli") == []
+    assert _lines(source, module="repro.analysis.report") == []
 
 
 def test_append_and_exclusive_modes_are_not_writes():

@@ -357,6 +357,23 @@ class TestServeBenchCommand:
         assert manifest["kind"] == "serve-bench-comparison"
         assert [c["client"] for c in manifest["sieved"]["clients"]] == [0, 1]
 
+    def test_failed_client_reports_no_savings(self, tmp_path, capsys, monkeypatch):
+        import json
+
+        from repro.sim.parallel import FAULT_ENV_VAR
+
+        monkeypatch.setenv(FAULT_ENV_VAR, "crash:client-1")
+        path = tmp_path / "serve.json"
+        assert main([*SERVE_TINY, "--json", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "allocation writes:" not in captured.out
+        assert "FAILED [sieve]" in captured.err
+        payload = json.loads(path.read_text())
+        assert payload["allocation_writes_saved"] is None
+        assert payload["allocation_write_ratio"] is None
+        assert payload["sieved"]["failed_clients"] == ["client-1"]
+        assert payload["baseline"]["failed_clients"] == ["client-1"]
+
     def test_no_baseline_skips_the_comparison(self, capsys):
         assert main([*SERVE_TINY, "--no-baseline"]) == 0
         out = capsys.readouterr().out
